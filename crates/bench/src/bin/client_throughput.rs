@@ -5,8 +5,9 @@
 //!   `QueryService::submit_wait` round trip per query (no protocol);
 //! * **in-process** — `DProvClient` over the zero-copy channel transport:
 //!   full protocol encode/decode, no syscalls, pipelined submit/poll;
-//! * **tcp** — `DProvClient` over real TCP loopback: protocol + framing +
-//!   CRC + socket round trips, pipelined submit/poll.
+//! * **tcp** — `DProvClient` over real TCP loopback to the event-loop
+//!   frontend: protocol + framing + CRC + socket round trips, pipelined
+//!   submit/poll.
 //!
 //! The spread between the rows prices the protocol layers: `in-process −
 //! direct` is the message codec, `tcp − in-process` is framing plus the
@@ -31,6 +32,7 @@ use dprov_core::mechanism::MechanismKind;
 use dprov_core::system::DProvDb;
 use dprov_engine::catalog::ViewCatalog;
 use dprov_engine::datagen::adult::adult_database;
+use dprov_net::{EventLoopFrontend, NetConfig};
 use dprov_server::{Frontend, QueryService, ServiceConfig};
 use dprov_workloads::rrq::{generate, RrqConfig, RrqWorkload};
 
@@ -188,7 +190,7 @@ fn main() {
 
     let (tcp, tcp_lat) = {
         let service = build_service();
-        let frontend = Frontend::new(&service);
+        let frontend = EventLoopFrontend::new(&service, NetConfig::default());
         let listener = frontend.listen("127.0.0.1:0").unwrap();
         let addr = listener.local_addr();
         let clients = (0..ANALYSTS)

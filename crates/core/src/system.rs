@@ -207,6 +207,48 @@ struct ResolvedRequest {
     requested_epsilon: Option<f64>,
 }
 
+/// The request-level half of a resolution: what the submission mode asks
+/// of every cell the request resolves to. It depends only on the request
+/// and the selected view, so a grouped request computes it once for all
+/// of its cells.
+#[derive(Clone, Copy)]
+enum ModeTarget {
+    /// Accuracy mode: the validated answer variance, divided per cell by
+    /// the cell's squared coefficient norm.
+    Variance(f64),
+    /// Privacy mode: the per-bin variance σ² calibrated for `epsilon`.
+    Calibrated { sigma_sq: f64, epsilon: f64 },
+}
+
+impl ResolvedRequest {
+    /// The per-request tail of resolution, shared by scalar and grouped
+    /// requests. A query touching no cell has a trivially exact answer of
+    /// 0, answerable from any synopsis with no extra cost — decided before
+    /// the mode is consulted; otherwise the mode target applies.
+    fn new(
+        view: ViewDef,
+        linear: LinearQuery,
+        target: &std::result::Result<ModeTarget, RejectReason>,
+    ) -> std::result::Result<Self, RejectReason> {
+        let coeff_sq = linear.answer_variance(1.0);
+        let (per_bin_target, requested_epsilon) = if coeff_sq <= 0.0 {
+            (f64::INFINITY, None)
+        } else {
+            match target {
+                Ok(ModeTarget::Variance(variance)) => (variance / coeff_sq, None),
+                Ok(ModeTarget::Calibrated { sigma_sq, epsilon }) => (*sigma_sq, Some(*epsilon)),
+                Err(reason) => return Err(reason.clone()),
+            }
+        };
+        Ok(ResolvedRequest {
+            view,
+            linear,
+            per_bin_target,
+            requested_epsilon,
+        })
+    }
+}
+
 impl DProvDb {
     /// Builds the system: computes constraints from the configuration,
     /// initialises the provenance table and materialises every view's exact
@@ -672,42 +714,33 @@ impl DProvDb {
                 Err(_) => return Err(RejectReason::NotAnswerable),
             }
         };
-        let coeff_sq = linear.answer_variance(1.0);
-        if coeff_sq <= 0.0 {
-            // A query touching no cell has a trivially exact answer of 0; we
-            // treat it as answerable from any synopsis with no extra cost.
-            return Ok(ResolvedRequest {
-                view,
-                linear,
-                per_bin_target: f64::INFINITY,
-                requested_epsilon: None,
-            });
+        let target = self.mode_target(request.mode, &view);
+        ResolvedRequest::new(view, linear, &target)
+    }
+
+    /// Validates an accuracy-mode request, or calibrates a privacy-mode
+    /// request's σ against `view` (see [`ModeTarget`]).
+    fn mode_target(
+        &self,
+        mode: SubmissionMode,
+        view: &ViewDef,
+    ) -> std::result::Result<ModeTarget, RejectReason> {
+        match mode {
+            SubmissionMode::Accuracy { variance } if variance.is_finite() && variance > 0.0 => {
+                Ok(ModeTarget::Variance(variance))
+            }
+            SubmissionMode::Accuracy { .. } => Err(RejectReason::AccuracyUnreachable),
+            SubmissionMode::Privacy { epsilon } => analytic_gaussian_sigma(
+                epsilon,
+                self.config.delta.value(),
+                view.sensitivity().value(),
+            )
+            .map(|sigma| ModeTarget::Calibrated {
+                sigma_sq: sigma * sigma,
+                epsilon,
+            })
+            .map_err(|_| RejectReason::AccuracyUnreachable),
         }
-        let (per_bin_target, requested_epsilon) = match request.mode {
-            SubmissionMode::Accuracy { variance } => {
-                if !(variance.is_finite() && variance > 0.0) {
-                    return Err(RejectReason::AccuracyUnreachable);
-                }
-                (variance / coeff_sq, None)
-            }
-            SubmissionMode::Privacy { epsilon } => {
-                let sigma = match analytic_gaussian_sigma(
-                    epsilon,
-                    self.config.delta.value(),
-                    view.sensitivity().value(),
-                ) {
-                    Ok(s) => s,
-                    Err(_) => return Err(RejectReason::AccuracyUnreachable),
-                };
-                (sigma * sigma, Some(epsilon))
-            }
-        };
-        Ok(ResolvedRequest {
-            view,
-            linear,
-            per_bin_target,
-            requested_epsilon,
-        })
     }
 
     /// Answers from an existing (analyst, view) synopsis if it is accurate
@@ -1286,58 +1319,21 @@ impl DProvDb {
         }
         drop(db);
 
-        // Per-group tail of `resolve`, with the shared pieces hoisted: the
-        // privacy-mode sigma and the accuracy-mode validity depend only on
-        // the request and the view, so hoisting is bit-identical.
-        let mut cells = Vec::with_capacity(num_groups);
-        for coeffs in coefficients {
-            let linear = LinearQuery {
-                view: view.name.clone(),
-                coefficients: coeffs,
-                view_cells,
-            };
-            let coeff_sq = linear.answer_variance(1.0);
-            if coeff_sq <= 0.0 {
-                // A group touching no cell has a trivially exact answer of
-                // 0, answerable from any synopsis with no extra cost.
-                cells.push(Ok(ResolvedRequest {
-                    view: view.clone(),
-                    linear,
-                    per_bin_target: f64::INFINITY,
-                    requested_epsilon: None,
-                }));
-                continue;
-            }
-            cells.push(match request.mode {
-                SubmissionMode::Accuracy { variance } => {
-                    if variance.is_finite() && variance > 0.0 {
-                        Ok(ResolvedRequest {
-                            view: view.clone(),
-                            linear,
-                            per_bin_target: variance / coeff_sq,
-                            requested_epsilon: None,
-                        })
-                    } else {
-                        Err(RejectReason::AccuracyUnreachable)
-                    }
-                }
-                SubmissionMode::Privacy { epsilon } => {
-                    match analytic_gaussian_sigma(
-                        epsilon,
-                        self.config.delta.value(),
-                        view.sensitivity().value(),
-                    ) {
-                        Ok(sigma) => Ok(ResolvedRequest {
-                            view: view.clone(),
-                            linear,
-                            per_bin_target: sigma * sigma,
-                            requested_epsilon: Some(epsilon),
-                        }),
-                        Err(_) => Err(RejectReason::AccuracyUnreachable),
-                    }
-                }
-            });
-        }
+        // The per-request tail of `resolve`, with the mode target (the
+        // accuracy-mode validity or the privacy-mode σ) computed once for
+        // every cell: it depends only on the request and the view.
+        let target = self.mode_target(request.mode, &view);
+        let cells = coefficients
+            .into_iter()
+            .map(|coefficients| {
+                let linear = LinearQuery {
+                    view: view.name.clone(),
+                    coefficients,
+                    view_cells,
+                };
+                ResolvedRequest::new(view.clone(), linear, &target)
+            })
+            .collect();
         Ok((keys, cells))
     }
 

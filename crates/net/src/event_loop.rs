@@ -20,17 +20,9 @@ use std::time::{Duration, Instant};
 
 use dprov_api::frame::{frame, FrameDecoder};
 use dprov_api::protocol::Response;
-use dprov_api::{codes, ApiError};
-use dprov_core::processor::{GroupedRequest, QueryRequest};
 use dprov_obs::{CounterId, GaugeId, HistId, MetricsRegistry};
-use dprov_server::frontend::accept_error_is_transient;
-use dprov_server::proto::{
-    encode_reply, grouped_response_to_protocol, query_response_to_protocol, ConnProto,
-    PayloadOutcome,
-};
-use dprov_server::{
-    GroupedCallback, QueryCallback, QueryService, SessionId, TrySubmitError, TrySubmitGroupedError,
-};
+use dprov_server::proto::{encode_reply, query_response_to_protocol, ConnProto, PayloadOutcome};
+use dprov_server::{Completion, QueryService, ServerError, SessionId, TrySubmitError, Work};
 use epoll::{Event, Interest, Poller, Waker};
 
 use crate::NetConfig;
@@ -42,15 +34,34 @@ const LISTENER_TOKEN: u64 = 1;
 /// First token handed to a connection; tokens below this are reserved.
 const FIRST_CONN_TOKEN: u64 = 16;
 /// Trace lanes: workers occupy lanes `0..N`; connections start here (the
-/// same convention as the thread-per-connection frontend).
+/// same convention as the in-process frontend).
 const LANE_BASE: u64 = 1_000;
+
+/// Classifies an `accept(2)` failure: transient errors (descriptor
+/// exhaustion, an aborted in-flight handshake, interrupted syscalls,
+/// transient kernel memory pressure) clear on their own and merit a
+/// retry; anything else means the listening socket itself is broken and
+/// retrying can only spin.
+fn accept_error_is_transient(e: &io::Error) -> bool {
+    // Raw codes (Linux values) because `io::ErrorKind` has no stable
+    // mapping for several of these: EINTR(4), EAGAIN(11), ENOMEM(12),
+    // ENFILE(23), EMFILE(24), EPROTO(71), ECONNABORTED(103), ENOBUFS(105).
+    matches!(
+        e.raw_os_error(),
+        Some(4 | 11 | 12 | 23 | 24 | 71 | 103 | 105)
+    ) || matches!(
+        e.kind(),
+        io::ErrorKind::WouldBlock | io::ErrorKind::Interrupted | io::ErrorKind::ConnectionAborted
+    )
+}
 
 /// The readiness-driven analyst-protocol server over a
 /// [`QueryService`] (see the crate docs for the architecture).
 ///
-/// Like [`dprov_server::Frontend`], the service reference is held weakly:
-/// dropping the last owning `Arc<QueryService>` invalidates the frontend
-/// gracefully — live connections get retryable `SHUTTING_DOWN` errors.
+/// Like the in-process [`dprov_server::Frontend`], the service reference
+/// is held weakly: dropping the last owning `Arc<QueryService>`
+/// invalidates the frontend gracefully — live connections get retryable
+/// `SHUTTING_DOWN` errors.
 pub struct EventLoopFrontend {
     service: Weak<QueryService>,
     server_name: String,
@@ -229,25 +240,15 @@ struct Inbox {
     queue_space: bool,
 }
 
-/// A submission the queue refused; held until a queue-space wakeup.
+/// A submission on its way to the worker pool: dispatched once when its
+/// frame is decoded and, if the queue refused it, held on the connection
+/// until a queue-space wakeup dispatches it again.
 struct Parked {
     session: SessionId,
-    work: ParkedWork,
+    work: Work,
+    on_done: Completion,
     request_id: u64,
     scope: Option<u64>,
-}
-
-/// The request + callback pair a full queue handed back — scalar and
-/// grouped submissions park identically.
-enum ParkedWork {
-    Scalar {
-        request: QueryRequest,
-        on_done: QueryCallback,
-    },
-    Grouped {
-        request: GroupedRequest,
-        on_done: GroupedCallback,
-    },
 }
 
 /// One connection's entire state, owned by exactly one loop thread.
@@ -410,10 +411,9 @@ impl LoopCore {
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
                 // Transient (EMFILE-style) failures: pause the accept
-                // path until the next tick. Sleeping here — what the
-                // thread-per-connection loop does — would stall every
-                // live connection on this loop, so interest is dropped
-                // instead and re-armed by the tick.
+                // path until the next tick. Sleeping here would stall
+                // every live connection on this loop, so interest is
+                // dropped instead and re-armed by the tick.
                 Err(e) if accept_error_is_transient(&e) => {
                     self.frontend.metrics.incr(CounterId::AcceptTransientErrors);
                     let fd = listener.as_raw_fd();
@@ -519,7 +519,7 @@ impl LoopCore {
 
     /// Deregisters and drops a connection. Sessions are NOT closed here —
     /// a reconnecting client resumes by id; abandonment is the TTL's job
-    /// (the same contract as the thread-per-connection frontend).
+    /// (the same contract as the in-process frontend).
     fn teardown(&mut self, conn: Conn) {
         let _ = self.poller.deregister(conn.stream.as_raw_fd());
         let live = self.registered.fetch_sub(1, Ordering::Relaxed) - 1;
@@ -577,24 +577,25 @@ impl LoopCore {
                         }
                         PayloadOutcome::Submit {
                             session,
-                            request,
-                            request_id,
-                            scope,
-                        } => self.dispatch(conn, token, session, request, request_id, scope),
-                        PayloadOutcome::SubmitGrouped {
-                            session,
-                            request,
+                            work,
                             request_id,
                             scope,
                         } => {
-                            self.dispatch_grouped(conn, token, session, request, request_id, scope);
+                            let on_done = self.make_callback(token, conn.lane, request_id, scope);
+                            let submission = Parked {
+                                session,
+                                work,
+                                on_done,
+                                request_id,
+                                scope,
+                            };
+                            self.dispatch(conn, submission);
                         }
                     }
                 }
                 Ok(None) => break,
-                // Oversized or corrupt framing: tear the connection down,
-                // exactly like the blocking transport does — the client
-                // surfaces a typed connection error locally.
+                // Oversized or corrupt framing: tear the connection down —
+                // the client surfaces a typed connection error locally.
                 Err(_) => return false,
             }
         }
@@ -662,39 +663,29 @@ impl LoopCore {
         true
     }
 
-    /// Hands a validated submission to the worker pool without blocking;
-    /// a full queue parks it on the connection (read interest drops via
-    /// `wants_read`) until the queue-space wakeup.
-    fn dispatch(
-        &mut self,
-        conn: &mut Conn,
-        token: u64,
-        session: SessionId,
-        request: QueryRequest,
-        request_id: u64,
-        scope: Option<u64>,
-    ) {
-        let Some(service) = self.frontend.service.upgrade() else {
-            let reply = encode_reply(
-                &self.frontend.metrics,
-                conn.lane,
-                request_id,
-                scope,
-                &Response::Error(ApiError::new(
-                    codes::SHUTTING_DOWN,
-                    "service is shutting down",
-                )),
-            );
-            self.push_out(conn, reply);
-            return;
+    /// Hands a submission to the worker pool without blocking — its first
+    /// attempt and every retry alike; a full queue parks it on the
+    /// connection (read interest drops via `wants_read`) until the
+    /// queue-space wakeup.
+    fn dispatch(&mut self, conn: &mut Conn, submission: Parked) {
+        let Parked {
+            session,
+            work,
+            on_done,
+            request_id,
+            scope,
+        } = submission;
+        let submitted = match self.frontend.service.upgrade() {
+            Some(service) => service.try_submit(session, work, request_id, on_done),
+            None => Err(TrySubmitError::Rejected(ServerError::ShuttingDown)),
         };
-        let on_done = self.make_callback(token, conn.lane, request_id, scope);
-        match service.try_submit_callback(session, request, request_id, on_done) {
+        match submitted {
             Ok(()) => conn.inflight += 1,
-            Err(TrySubmitError::Full { request, on_done }) => {
+            Err(TrySubmitError::Full { work, on_done }) => {
                 conn.parked = Some(Parked {
                     session,
-                    work: ParkedWork::Scalar { request, on_done },
+                    work,
+                    on_done,
                     request_id,
                     scope,
                 });
@@ -712,66 +703,16 @@ impl LoopCore {
         }
     }
 
-    /// [`Self::dispatch`] for grouped (GROUP BY) submissions: the same
-    /// non-blocking hand-off and park-on-full backpressure, delivering a
-    /// `Response::GroupedAnswer` through the loop mailbox.
-    fn dispatch_grouped(
-        &mut self,
-        conn: &mut Conn,
-        token: u64,
-        session: SessionId,
-        request: GroupedRequest,
-        request_id: u64,
-        scope: Option<u64>,
-    ) {
-        let Some(service) = self.frontend.service.upgrade() else {
-            let reply = encode_reply(
-                &self.frontend.metrics,
-                conn.lane,
-                request_id,
-                scope,
-                &Response::Error(ApiError::new(
-                    codes::SHUTTING_DOWN,
-                    "service is shutting down",
-                )),
-            );
-            self.push_out(conn, reply);
-            return;
-        };
-        let on_done = self.make_grouped_callback(token, conn.lane, request_id, scope);
-        match service.try_submit_grouped_callback(session, request, request_id, on_done) {
-            Ok(()) => conn.inflight += 1,
-            Err(TrySubmitGroupedError::Full { request, on_done }) => {
-                conn.parked = Some(Parked {
-                    session,
-                    work: ParkedWork::Grouped { request, on_done },
-                    request_id,
-                    scope,
-                });
-            }
-            Err(TrySubmitGroupedError::Rejected(e)) => {
-                let reply = encode_reply(
-                    &self.frontend.metrics,
-                    conn.lane,
-                    request_id,
-                    scope,
-                    &Response::Error(e.into()),
-                );
-                self.push_out(conn, reply);
-            }
-        }
-    }
-
-    /// The completion callback run on the worker thread: encode the reply
-    /// there (keeping serialisation off the loop threads) and route it
-    /// home through the owning loop's mailbox.
+    /// The completion run on the worker thread: encode the reply there
+    /// (keeping serialisation off the loop threads) and route it home
+    /// through the owning loop's mailbox.
     fn make_callback(
         &self,
         token: u64,
         lane: u64,
         request_id: u64,
         scope: Option<u64>,
-    ) -> QueryCallback {
+    ) -> Completion {
         let inbox = Arc::clone(&self.inbox);
         let waker = Arc::clone(&self.waker);
         let metrics = self.frontend.metrics.clone();
@@ -781,35 +722,7 @@ impl LoopCore {
                 lane,
                 request_id,
                 scope,
-                &query_response_to_protocol(Some(response)),
-            );
-            inbox
-                .lock()
-                .expect("loop inbox poisoned")
-                .completions
-                .push((token, reply));
-            waker.wake();
-        })
-    }
-
-    /// The grouped twin of [`Self::make_callback`].
-    fn make_grouped_callback(
-        &self,
-        token: u64,
-        lane: u64,
-        request_id: u64,
-        scope: Option<u64>,
-    ) -> GroupedCallback {
-        let inbox = Arc::clone(&self.inbox);
-        let waker = Arc::clone(&self.waker);
-        let metrics = self.frontend.metrics.clone();
-        Box::new(move |response| {
-            let reply = encode_reply(
-                &metrics,
-                lane,
-                request_id,
-                scope,
-                &grouped_response_to_protocol(Some(response)),
+                &query_response_to_protocol(response),
             );
             inbox
                 .lock()
@@ -833,7 +746,8 @@ impl LoopCore {
         self.finish(token, conn, alive);
     }
 
-    /// Retries every parked submission after a queue-space wakeup.
+    /// Retries every parked submission after a queue-space wakeup; the
+    /// `pump` resumes the frames buffered behind it once the park clears.
     fn retry_parked_all(&mut self) {
         let parked: Vec<u64> = self
             .conns
@@ -845,88 +759,12 @@ impl LoopCore {
             let Some(mut conn) = self.conns.remove(&token) else {
                 continue;
             };
-            let alive = self.retry_parked(&mut conn) && self.pump(&mut conn, token);
+            if let Some(submission) = conn.parked.take() {
+                self.dispatch(&mut conn, submission);
+            }
+            let alive = self.pump(&mut conn, token);
             self.finish(token, conn, alive);
         }
-    }
-
-    /// Re-dispatches one parked submission; the caller's `pump` resumes
-    /// the frames buffered behind it once the park clears.
-    fn retry_parked(&mut self, conn: &mut Conn) -> bool {
-        if let Some(parked) = conn.parked.take() {
-            let Parked {
-                session,
-                work,
-                request_id,
-                scope,
-            } = parked;
-            let Some(service) = self.frontend.service.upgrade() else {
-                let reply = encode_reply(
-                    &self.frontend.metrics,
-                    conn.lane,
-                    request_id,
-                    scope,
-                    &Response::Error(ApiError::new(
-                        codes::SHUTTING_DOWN,
-                        "service is shutting down",
-                    )),
-                );
-                self.push_out(conn, reply);
-                return true;
-            };
-            let rejected = match work {
-                ParkedWork::Scalar { request, on_done } => {
-                    match service.try_submit_callback(session, request, request_id, on_done) {
-                        Ok(()) => {
-                            conn.inflight += 1;
-                            None
-                        }
-                        Err(TrySubmitError::Full { request, on_done }) => {
-                            // Someone else took the slot; stay parked for
-                            // the next wakeup.
-                            conn.parked = Some(Parked {
-                                session,
-                                work: ParkedWork::Scalar { request, on_done },
-                                request_id,
-                                scope,
-                            });
-                            return true;
-                        }
-                        Err(TrySubmitError::Rejected(e)) => Some(e),
-                    }
-                }
-                ParkedWork::Grouped { request, on_done } => {
-                    match service.try_submit_grouped_callback(session, request, request_id, on_done)
-                    {
-                        Ok(()) => {
-                            conn.inflight += 1;
-                            None
-                        }
-                        Err(TrySubmitGroupedError::Full { request, on_done }) => {
-                            conn.parked = Some(Parked {
-                                session,
-                                work: ParkedWork::Grouped { request, on_done },
-                                request_id,
-                                scope,
-                            });
-                            return true;
-                        }
-                        Err(TrySubmitGroupedError::Rejected(e)) => Some(e),
-                    }
-                }
-            };
-            if let Some(e) = rejected {
-                let reply = encode_reply(
-                    &self.frontend.metrics,
-                    conn.lane,
-                    request_id,
-                    scope,
-                    &Response::Error(e.into()),
-                );
-                self.push_out(conn, reply);
-            }
-        }
-        true
     }
 
     /// Drops connections with no inbound traffic for the idle horizon.

@@ -1,27 +1,27 @@
-//! The protocol frontend: serves the versioned analyst protocol
-//! (`dprov-api`) over the worker pool.
+//! The in-process protocol frontend: serves the versioned analyst
+//! protocol (`dprov-api`) over the worker pool on in-process channel
+//! pairs.
 //!
-//! A [`Frontend`] accepts [`Connection`]s — in-process channel pairs via
-//! [`Frontend::connect`] or TCP sockets via [`Frontend::listen`] — and
-//! runs each through three threads:
+//! [`Frontend::connect`] hands out the client side of a zero-copy
+//! [`Connection`] pair and serves the server side on two threads:
 //!
-//! * a **reader** decoding request frames, enforcing the connection state
-//!   machine (`Hello` → `RegisterSession` → everything else) and
-//!   answering control requests (heartbeat, budget, close) inline, so
-//!   they overtake long-running query work;
-//! * a **forwarder** draining query receivers in submission order — the
-//!   session lanes already execute a session's queries FIFO, so waiting
-//!   on the head receiver never delays a later one — and turning each
-//!   outcome into a response frame tagged with its pipelining request id;
+//! * a **reader** decoding request frames through the shared protocol
+//!   state machine ([`crate::proto`]: `Hello` → `RegisterSession` →
+//!   everything else), answering control requests (heartbeat, budget,
+//!   close) inline so they overtake long-running query work, and
+//!   submitting queries and GROUP BYs with a completion that encodes the
+//!   reply on the worker and hands it to the writer — the same shape the
+//!   TCP event loop (`dprov-net`) uses;
 //! * a **writer** owning the send half, serialising response frames from
 //!   both of the above.
 //!
-//! One connection maps to at most one session. Authentication is by
-//! analyst roster name (the roster is trusted configuration installed at
-//! system build time); a reconnecting client may `resume` its previous
-//! session — including across a service restart recovered by
-//! [`QueryService::start_durable`] — and the frontend verifies the
-//! session's ownership before re-attaching.
+//! Replies keep per-session FIFO order because session lanes run a
+//! session's jobs one at a time. One connection (or mux channel) maps to
+//! at most one session. Authentication is by analyst roster name (the
+//! roster is trusted configuration installed at system build time); a
+//! reconnecting client may `resume` its previous session — including
+//! across a service restart recovered by [`QueryService::start_durable`] —
+//! and the frontend verifies the session's ownership before re-attaching.
 //!
 //! The frontend holds the service [`Weak`]ly: dropping the last owning
 //! `Arc<QueryService>` (or calling [`QueryService::shutdown`] after
@@ -29,31 +29,19 @@
 //! get retryable `SHUTTING_DOWN` errors instead of hangs, and the
 //! service's worker threads are never kept alive by idle connections.
 
-use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex, Weak};
-use std::thread::JoinHandle;
-use std::time::Duration;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{mpsc, Arc, Weak};
 
 use dprov_api::protocol::Response;
 use dprov_api::{codes, ApiError, Connection};
 use dprov_obs::{CounterId, MetricsRegistry};
 
 use crate::proto::{
-    encode_reply, grouped_response_to_protocol, query_response_to_protocol, shutting_down,
-    ConnProto, PayloadOutcome, DEFAULT_MAX_CHANNELS,
+    encode_reply, query_response_to_protocol, shutting_down, ConnProto, PayloadOutcome,
+    DEFAULT_MAX_CHANNELS,
 };
-use crate::service::{GroupedResponse, QueryResponse, QueryService, ServerError};
+use crate::service::{Completion, QueryService, ServerError};
 use crate::session::SessionError;
-
-/// A pending answer the forwarder is waiting on: scalar and grouped
-/// submissions travel back over differently-typed channels but share the
-/// forwarder's FIFO drain.
-enum PendingRx {
-    Scalar(mpsc::Receiver<QueryResponse>),
-    Grouped(mpsc::Receiver<GroupedResponse>),
-}
 
 impl From<SessionError> for ApiError {
     fn from(e: SessionError) -> Self {
@@ -86,7 +74,7 @@ impl From<ServerError> for ApiError {
 /// here so their decode/reply stages render on distinct trace rows.
 const FRONTEND_LANE_BASE: u64 = 1_000;
 
-/// The analyst-protocol server over a [`QueryService`].
+/// The in-process analyst-protocol server over a [`QueryService`].
 pub struct Frontend {
     service: Weak<QueryService>,
     server_name: String,
@@ -94,7 +82,7 @@ pub struct Frontend {
     /// events land in the same registry as everything downstream (and
     /// keep recording even while the service reference is only weak).
     metrics: MetricsRegistry,
-    /// Connections ever accepted; numbers the per-connection trace lane.
+    /// Connections ever opened; numbers the per-connection trace lane.
     connections: AtomicU64,
 }
 
@@ -118,85 +106,22 @@ impl Frontend {
     #[must_use]
     pub fn connect(self: &Arc<Self>) -> Connection {
         let (client, server) = Connection::pair();
-        self.serve(server);
-        client
-    }
-
-    /// Serves one established connection (any transport) on a dedicated
-    /// reader thread; returns its join handle.
-    pub fn serve(self: &Arc<Self>, conn: Connection) -> JoinHandle<()> {
         let frontend = Arc::clone(self);
         std::thread::Builder::new()
             .name("dprov-frontend-conn".to_owned())
-            .spawn(move || frontend.serve_connection(conn))
-            .expect("failed to spawn frontend connection thread")
-    }
-
-    /// Binds a TCP listener and serves every accepted connection — one
-    /// socket per analyst session. Returns a handle carrying the bound
-    /// address (bind port 0 to let the OS pick) and the shutdown control.
-    pub fn listen(self: &Arc<Self>, addr: impl ToSocketAddrs) -> std::io::Result<FrontendListener> {
-        let listener = TcpListener::bind(addr)?;
-        let local_addr = listener.local_addr()?;
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let fatal: Arc<Mutex<Option<io::Error>>> = Arc::new(Mutex::new(None));
-        let flag = Arc::clone(&shutdown);
-        let fatal_slot = Arc::clone(&fatal);
-        let frontend = Arc::clone(self);
-        let accept_thread = std::thread::Builder::new()
-            .name("dprov-frontend-accept".to_owned())
-            .spawn(move || {
-                let mut backoff = ACCEPT_BACKOFF_FLOOR;
-                for stream in listener.incoming() {
-                    if flag.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    match stream {
-                        Ok(stream) => {
-                            backoff = ACCEPT_BACKOFF_FLOOR;
-                            if let Ok(conn) = Connection::from_tcp(stream) {
-                                frontend.serve(conn);
-                            }
-                        }
-                        // Transient failures (descriptor exhaustion, an
-                        // aborted handshake) clear on their own; backing
-                        // off exponentially keeps the thread from
-                        // busy-spinning at 100% CPU while they last, and
-                        // the counter makes a persistent EMFILE plateau
-                        // visible on a dashboard.
-                        Err(e) if accept_error_is_transient(&e) => {
-                            frontend.metrics.incr(CounterId::AcceptTransientErrors);
-                            std::thread::sleep(backoff);
-                            backoff = (backoff * 2).min(ACCEPT_BACKOFF_CEIL);
-                        }
-                        // Anything else means the listener itself is gone
-                        // (bad descriptor, socket torn down). Retrying
-                        // cannot help; park the error where operators can
-                        // read it and stop accepting.
-                        Err(e) => {
-                            frontend.metrics.incr(CounterId::AcceptFatalErrors);
-                            *fatal_slot.lock().expect("fatal slot poisoned") = Some(e);
-                            break;
-                        }
-                    }
-                }
-            })?;
-        Ok(FrontendListener {
-            local_addr,
-            shutdown,
-            accept_thread: Some(accept_thread),
-            fatal,
-        })
+            .spawn(move || frontend.serve(server))
+            .expect("failed to spawn frontend connection thread");
+        client
     }
 
     /// The full lifecycle of one connection (runs on the reader thread).
-    fn serve_connection(self: Arc<Self>, conn: Connection) {
+    fn serve(self: Arc<Self>, conn: Connection) {
         self.metrics.incr(CounterId::FrontendConnections);
         let lane = FRONTEND_LANE_BASE + self.connections.fetch_add(1, Ordering::Relaxed);
         let (mut sink, mut source) = conn.split();
 
-        // Writer: the single owner of the send half; both the reader and
-        // the forwarder hand it encoded response frames.
+        // Writer: the single owner of the send half; the reader and the
+        // completions of in-flight submissions hand it encoded frames.
         let (out_tx, out_rx) = mpsc::channel::<Vec<u8>>();
         let writer = std::thread::Builder::new()
             .name("dprov-frontend-write".to_owned())
@@ -208,29 +133,6 @@ impl Frontend {
                 }
             })
             .expect("failed to spawn frontend writer thread");
-
-        // Forwarder: drains query receivers in submission order. Session
-        // lanes execute a session's queries FIFO, so blocking on the head
-        // receiver never delays a later outcome. Each entry carries its
-        // mux scope so a channel's answer is wrapped back into it.
-        let (pending_tx, pending_rx) = mpsc::channel::<(u64, Option<u64>, PendingRx)>();
-        let forward_out = out_tx.clone();
-        let forward_metrics = self.metrics.clone();
-        let forwarder = std::thread::Builder::new()
-            .name("dprov-frontend-forward".to_owned())
-            .spawn(move || {
-                while let Ok((request_id, scope, rx)) = pending_rx.recv() {
-                    let response = match rx {
-                        PendingRx::Scalar(rx) => query_response_to_protocol(rx.recv().ok()),
-                        PendingRx::Grouped(rx) => grouped_response_to_protocol(rx.recv().ok()),
-                    };
-                    let frame = encode_reply(&forward_metrics, lane, request_id, scope, &response);
-                    if forward_out.send(frame).is_err() {
-                        break;
-                    }
-                }
-            })
-            .expect("failed to spawn frontend forwarder thread");
 
         let mut proto = ConnProto::new(DEFAULT_MAX_CHANNELS);
         // The reader stops on clean close or transport failure: either way
@@ -253,154 +155,47 @@ impl Frontend {
                 }
                 PayloadOutcome::Submit {
                     session,
-                    request,
+                    work,
                     request_id,
                     scope,
                 } => {
-                    // The protocol's pipelining id doubles as the trace
-                    // id, so one request's decode, queue-wait, execute and
-                    // reply stages share a key in the exported trace.
+                    // The completion encodes the reply on the worker and
+                    // hands it to the writer; the reader moves straight on
+                    // to the next pipelined request. The protocol's
+                    // pipelining id doubles as the trace id, so one
+                    // request's decode, queue-wait, execute and reply
+                    // stages share a key in the exported trace.
+                    let out = out_tx.clone();
+                    let metrics = self.metrics.clone();
+                    let on_done: Completion = Box::new(move |response| {
+                        let response = query_response_to_protocol(response);
+                        let _ =
+                            out.send(encode_reply(&metrics, lane, request_id, scope, &response));
+                    });
                     let submitted = match self.service.upgrade() {
                         Some(service) => service
-                            .submit_traced(session, request, request_id)
-                            .map(PendingRx::Scalar)
+                            .submit(session, work, request_id, on_done)
                             .map_err(ApiError::from),
                         None => Err(shutting_down()),
                     };
-                    match submitted {
-                        Ok(rx) => {
-                            // The forwarder answers this id when the
-                            // worker pool does; the reader moves straight
-                            // on to the next pipelined request.
-                            let _ = pending_tx.send((request_id, scope, rx));
-                        }
-                        Err(e) => {
-                            let frame = encode_reply(
-                                &self.metrics,
-                                lane,
-                                request_id,
-                                scope,
-                                &Response::Error(e),
-                            );
-                            let _ = out_tx.send(frame);
-                        }
-                    }
-                }
-                PayloadOutcome::SubmitGrouped {
-                    session,
-                    request,
-                    request_id,
-                    scope,
-                } => {
-                    // Same pipelined dispatch as `Submit`; only the
-                    // receiver (and the eventual response variant)
-                    // differs.
-                    let submitted = match self.service.upgrade() {
-                        Some(service) => service
-                            .submit_grouped_traced(session, request, request_id)
-                            .map(PendingRx::Grouped)
-                            .map_err(ApiError::from),
-                        None => Err(shutting_down()),
-                    };
-                    match submitted {
-                        Ok(rx) => {
-                            let _ = pending_tx.send((request_id, scope, rx));
-                        }
-                        Err(e) => {
-                            let frame = encode_reply(
-                                &self.metrics,
-                                lane,
-                                request_id,
-                                scope,
-                                &Response::Error(e),
-                            );
-                            let _ = out_tx.send(frame);
-                        }
+                    if let Err(e) = submitted {
+                        let frame = encode_reply(
+                            &self.metrics,
+                            lane,
+                            request_id,
+                            scope,
+                            &Response::Error(e),
+                        );
+                        let _ = out_tx.send(frame);
                     }
                 }
             }
         }
 
-        // Tear down: dropping the channels lets the forwarder finish its
-        // backlog (answers nobody will read) and the writer drain and exit.
-        drop(pending_tx);
+        // Tear down: the writer drains and exits once the reader's sender
+        // and every in-flight completion's clone are gone.
         drop(out_tx);
-        let _ = forwarder.join();
         let _ = writer.join();
-    }
-}
-
-/// Accept-loop backoff bounds for transient failures.
-const ACCEPT_BACKOFF_FLOOR: Duration = Duration::from_millis(1);
-const ACCEPT_BACKOFF_CEIL: Duration = Duration::from_millis(100);
-
-/// Classifies an `accept(2)` failure: transient errors (descriptor
-/// exhaustion, an aborted in-flight handshake, interrupted syscalls,
-/// transient kernel memory pressure) clear on their own and merit a
-/// backed-off retry; anything else means the listening socket itself is
-/// broken and retrying can only spin. Shared by both frontends so they
-/// cannot drift in what they survive.
-#[must_use]
-pub fn accept_error_is_transient(e: &io::Error) -> bool {
-    // Raw codes (Linux values) because `io::ErrorKind` has no stable
-    // mapping for several of these: EINTR(4), EAGAIN(11), ENOMEM(12),
-    // ENFILE(23), EMFILE(24), EPROTO(71), ECONNABORTED(103), ENOBUFS(105).
-    matches!(
-        e.raw_os_error(),
-        Some(4 | 11 | 12 | 23 | 24 | 71 | 103 | 105)
-    ) || matches!(
-        e.kind(),
-        io::ErrorKind::WouldBlock | io::ErrorKind::Interrupted | io::ErrorKind::ConnectionAborted
-    )
-}
-
-/// Handle to a TCP-serving frontend (see [`Frontend::listen`]).
-pub struct FrontendListener {
-    local_addr: SocketAddr,
-    shutdown: Arc<AtomicBool>,
-    accept_thread: Option<JoinHandle<()>>,
-    fatal: Arc<Mutex<Option<io::Error>>>,
-}
-
-impl FrontendListener {
-    /// The bound address (useful after binding port 0).
-    #[must_use]
-    pub fn local_addr(&self) -> SocketAddr {
-        self.local_addr
-    }
-
-    /// Takes the fatal accept-loop error, if one stopped the listener.
-    /// Transient failures (EMFILE and friends) are retried with backoff
-    /// and surface only as the `frontend.accept_transient_errors`
-    /// counter; a fatal error ends the accept loop and is parked here.
-    #[must_use]
-    pub fn take_fatal_error(&self) -> Option<io::Error> {
-        self.fatal.lock().expect("fatal slot poisoned").take()
-    }
-
-    /// Stops accepting new connections and joins the accept thread.
-    /// Connections already established keep running until their clients
-    /// disconnect (or until the service itself goes away, at which point
-    /// they receive retryable `SHUTTING_DOWN` errors).
-    pub fn shutdown(mut self) {
-        self.shutdown_inner();
-    }
-
-    fn shutdown_inner(&mut self) {
-        let Some(handle) = self.accept_thread.take() else {
-            return;
-        };
-        self.shutdown.store(true, Ordering::SeqCst);
-        // Wake the accept loop with a throwaway connection so it observes
-        // the flag; failure means the listener is already dead.
-        let _ = TcpStream::connect(self.local_addr);
-        let _ = handle.join();
-    }
-}
-
-impl Drop for FrontendListener {
-    fn drop(&mut self) {
-        self.shutdown_inner();
     }
 }
 
@@ -686,20 +481,5 @@ mod tests {
         // Analyst answers now carry the new epoch.
         let outcome = analyst.query(&request(25, 45, 700.0)).unwrap();
         assert_eq!(outcome.answered().unwrap().epoch, 1);
-    }
-
-    #[test]
-    fn tcp_listener_serves_and_shuts_down() {
-        let service = service();
-        let frontend = Frontend::new(&service);
-        let listener = frontend.listen("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr();
-        let mut client = DProvClient::connect_tcp(addr, "tcp-client").unwrap();
-        client.register("bob").unwrap();
-        assert!(client.query(&request(30, 50, 800.0)).unwrap().is_answered());
-        client.close().unwrap();
-        listener.shutdown();
-        // New connections are refused or reset once the listener is gone.
-        assert!(DProvClient::connect_tcp(addr, "late").is_err());
     }
 }

@@ -17,16 +17,20 @@
 //!   threads drain the queue in **per-view micro-batches** (bounded batch
 //!   size plus an optional linger window, see
 //!   [`service::ServiceConfig::max_batch`]) and execute each job through
-//!   `DProvDb::submit_with_rng`; batching regroups cross-session work so
-//!   same-view jobs run back-to-back on hot admission/synopsis state, and
-//!   responses travel back over `mpsc` channels (an internal detail — see
-//!   [`frontend`]);
-//! * [`frontend`] — the **protocol frontend** ([`frontend::Frontend`]):
-//!   serves the versioned `dprov-api` analyst protocol over the worker
-//!   pool — session registration authenticated against the analyst
-//!   roster, per-connection reader/forwarder/writer threads, in-process
-//!   and TCP transports. This is the analyst-facing surface; the raw
-//!   `submit`-returning-`mpsc::Receiver` path is crate-internal.
+//!   `DProvDb::submit_with_rng` (or `answer_group_by_with_rng` for a
+//!   GROUP BY); batching regroups cross-session work so same-view jobs run
+//!   back-to-back on hot admission/synopsis state. Every submission is one
+//!   job shape — a [`service::Work`] item plus a one-shot
+//!   [`service::Completion`] run with its [`service::Answer`] — whether it
+//!   arrives blocking ([`service::QueryService::submit_wait`]) or
+//!   non-blocking ([`service::QueryService::try_submit`]);
+//! * [`proto`] — the transport-independent **protocol state machine**
+//!   every frontend feeds decoded frames through, so answers are produced
+//!   by one code path whatever the transport;
+//! * [`frontend`] — the **in-process protocol frontend**
+//!   ([`frontend::Frontend`]): serves the versioned `dprov-api` analyst
+//!   protocol over an in-process channel pair with a reader and a writer
+//!   thread per connection. TCP is served by the `dprov-net` event loop.
 //!
 //! **Budget safety under concurrency** is enforced one layer down, in
 //! `dprov-core`'s admission control: constraint checks and charges commit
@@ -74,12 +78,11 @@ pub mod queue;
 pub mod service;
 pub mod session;
 
-pub use frontend::{Frontend, FrontendListener};
+pub use frontend::Frontend;
 pub use queue::{SpaceListener, TryPushError};
 pub use service::{
-    ClusterRole, DurabilityConfig, DurabilityConfigBuilder, FrontendMode, GroupedCallback,
-    GroupedResponse, PendingQuery, QueryCallback, QueryResponse, QueryService, RecoveryReport,
-    ServerError, ServiceConfig, ServiceConfigBuilder, ServiceStats, TrySubmitError,
-    TrySubmitGroupedError,
+    Answer, Completion, DurabilityConfig, DurabilityConfigBuilder, GroupedResponse, PendingQuery,
+    QueryResponse, QueryService, RecoveryReport, ServerError, ServiceConfig, ServiceConfigBuilder,
+    ServiceStats, TrySubmitError, Work,
 };
 pub use session::{SessionError, SessionId, SessionInfo, SessionRegistry};

@@ -1,23 +1,24 @@
 //! The transport-independent protocol state machine shared by every
 //! frontend.
 //!
-//! Both the thread-per-connection [`crate::frontend::Frontend`] and the
+//! Both the in-process [`crate::frontend::Frontend`] and the TCP
 //! event-loop frontend (the `dprov-net` crate) feed raw request payloads
 //! through [`ConnProto::handle_payload`] and obey the returned
-//! [`PayloadOutcome`]; eventual query answers are framed by
-//! [`encode_reply`] under the same `(request id, mux scope)` the
-//! submission carried. Centralising the state machine here is what makes
-//! the two frontends *provably* equivalent: every response byte is
-//! produced by the same code path, so the differential test suite can
-//! assert bit-identical analyst-visible behaviour and any divergence must
-//! come from transport plumbing, not protocol semantics.
+//! [`PayloadOutcome`]; eventual answers are converted by
+//! [`query_response_to_protocol`] and framed by [`encode_reply`] under the
+//! same `(request id, mux scope)` the submission carried. Centralising the
+//! state machine here is what makes the transports *provably* equivalent:
+//! every response byte is produced by the same code path, so the
+//! differential test suite can assert bit-identical analyst-visible
+//! behaviour and any divergence must come from transport plumbing, not
+//! protocol semantics.
 //!
 //! **Connection multiplexing** (protocol v3) also lives here. A
 //! [`Request::Mux`] frame carries a fully-encoded inner request for a
 //! numbered *channel*; each channel runs its own `ProtoState` — its own
 //! inner `Hello`, its own session registration — so one TCP connection
 //! hosts many independent analyst sessions and a
-//! `dprov_api::MuxConnection` client works against either frontend
+//! `dprov_api::MuxConnection` client works over either transport
 //! unchanged. Channel rules:
 //!
 //! * the **outer** `Hello` must complete before any `Mux` frame (same
@@ -39,10 +40,9 @@ use dprov_api::protocol::{
 };
 use dprov_api::{codes, ApiError};
 use dprov_core::analyst::AnalystId;
-use dprov_core::processor::{GroupedRequest, QueryRequest};
 use dprov_obs::{CounterId, HistId, MetricsRegistry, Stage};
 
-use crate::service::{GroupedResponse, QueryResponse, QueryService};
+use crate::service::{Answer, QueryService, ServerError, Work};
 use crate::session::SessionId;
 
 /// Channel cap used by frontends that do not expose their own knob.
@@ -65,18 +65,9 @@ enum ProtoFlow {
     /// Send `response`, then close the channel (for a bare connection:
     /// the connection).
     ReplyClose(Response),
-    /// A well-formed query submission: the frontend dispatches it to the
-    /// worker pool on its own path (blocking channel or callback).
-    Submit {
-        session: SessionId,
-        request: QueryRequest,
-    },
-    /// A well-formed grouped (GROUP BY) submission, dispatched like
-    /// `Submit` but answered with [`Response::GroupedAnswer`].
-    SubmitGrouped {
-        session: SessionId,
-        request: GroupedRequest,
-    },
+    /// A well-formed query or GROUP BY submission: the frontend dispatches
+    /// it to the worker pool (blocking or non-blocking).
+    Submit { session: SessionId, work: Work },
 }
 
 /// What the frontend must do with one received payload.
@@ -85,32 +76,18 @@ pub enum PayloadOutcome {
     Reply(Vec<u8>),
     /// Write this frame, then close the whole connection.
     ReplyClose(Vec<u8>),
-    /// Hand this query to the worker pool; encode its eventual response
-    /// with [`encode_reply`] under the same `(request_id, scope)`.
+    /// Hand this work to the worker pool; its eventual answer goes
+    /// through [`query_response_to_protocol`] and [`encode_reply`] under
+    /// the same `(request_id, scope)`.
     Submit {
-        /// The session the query runs on.
+        /// The session the work runs on.
         session: SessionId,
-        /// The validated query submission.
-        request: QueryRequest,
+        /// The validated query or GROUP BY submission.
+        work: Work,
         /// The pipelining id the reply must echo (doubles as trace id).
         request_id: u64,
         /// `Some(channel)` when the submission arrived inside a mux
         /// channel; its reply must be wrapped back into that channel.
-        scope: Option<u64>,
-    },
-    /// Hand this grouped (GROUP BY) query to the worker pool; its
-    /// eventual [`GroupedResponse`] goes through
-    /// [`grouped_response_to_protocol`] and [`encode_reply`] under the
-    /// same `(request_id, scope)`.
-    SubmitGrouped {
-        /// The session the query runs on.
-        session: SessionId,
-        /// The validated grouped submission.
-        request: GroupedRequest,
-        /// The pipelining id the reply must echo (doubles as trace id).
-        request_id: u64,
-        /// `Some(channel)` when the submission arrived inside a mux
-        /// channel.
         scope: Option<u64>,
     },
 }
@@ -178,15 +155,9 @@ impl ConnProto {
             ProtoFlow::ReplyClose(r) => {
                 PayloadOutcome::ReplyClose(encode_reply(metrics, lane, request_id, None, &r))
             }
-            ProtoFlow::Submit { session, request } => PayloadOutcome::Submit {
+            ProtoFlow::Submit { session, work } => PayloadOutcome::Submit {
                 session,
-                request,
-                request_id,
-                scope: None,
-            },
-            ProtoFlow::SubmitGrouped { session, request } => PayloadOutcome::SubmitGrouped {
-                session,
-                request,
+                work,
                 request_id,
                 scope: None,
             },
@@ -259,15 +230,9 @@ impl ConnProto {
                 self.channels.remove(&channel);
                 PayloadOutcome::Reply(encode_reply(metrics, lane, inner_id, Some(channel), &r))
             }
-            ProtoFlow::Submit { session, request } => PayloadOutcome::Submit {
+            ProtoFlow::Submit { session, work } => PayloadOutcome::Submit {
                 session,
-                request,
-                request_id: inner_id,
-                scope: Some(channel),
-            },
-            ProtoFlow::SubmitGrouped { session, request } => PayloadOutcome::SubmitGrouped {
-                session,
-                request,
+                work,
                 request_id: inner_id,
                 scope: Some(channel),
             },
@@ -277,7 +242,7 @@ impl ConnProto {
 
 /// Encodes `response` for the wire, wrapped into a [`Response::MuxReply`]
 /// when `scope` names a channel, and records reply-stage metrics. Both
-/// frontends (and their forwarders) funnel every response through here so
+/// frontends (and their completions) funnel every response through here so
 /// framing cannot diverge between them.
 #[must_use]
 pub fn encode_reply(
@@ -311,33 +276,14 @@ pub fn encode_reply(
     frame
 }
 
-/// Maps a worker-pool response (or a dropped responder, `None`) onto the
-/// wire protocol — the single conversion both frontends use.
+/// Maps a worker-pool answer onto the wire protocol — the single
+/// conversion every frontend's completion uses.
 #[must_use]
-pub fn query_response_to_protocol(response: Option<QueryResponse>) -> Response {
+pub fn query_response_to_protocol(response: Result<Answer, ServerError>) -> Response {
     match response {
-        Some(Ok(outcome)) => Response::QueryAnswer(outcome),
-        Some(Err(server_error)) => Response::Error(server_error.into()),
-        // The worker dropped the responder without answering: the pool is
-        // going away.
-        None => Response::Error(ApiError::new(
-            codes::SHUTTING_DOWN,
-            "service dropped the job during shutdown",
-        )),
-    }
-}
-
-/// The grouped twin of [`query_response_to_protocol`]: maps a worker-pool
-/// grouped response (or a dropped responder) onto the wire protocol.
-#[must_use]
-pub fn grouped_response_to_protocol(response: Option<GroupedResponse>) -> Response {
-    match response {
-        Some(Ok(outcome)) => Response::GroupedAnswer(outcome),
-        Some(Err(server_error)) => Response::Error(server_error.into()),
-        None => Response::Error(ApiError::new(
-            codes::SHUTTING_DOWN,
-            "service dropped the job during shutdown",
-        )),
+        Ok(Answer::Query(outcome)) => Response::QueryAnswer(outcome),
+        Ok(Answer::GroupBy(outcome)) => Response::GroupedAnswer(outcome),
+        Err(server_error) => Response::Error(server_error.into()),
     }
 }
 
@@ -425,30 +371,8 @@ fn handle_request(
                 Err(e) => ProtoFlow::Reply(Response::Error(e.into())),
             }
         }
-        Request::SubmitQuery(query_request) => {
-            let Some((session_id, _)) = state.session else {
-                return ProtoFlow::Reply(Response::Error(no_session()));
-            };
-            if service.upgrade().is_none() {
-                return ProtoFlow::Reply(Response::Error(shutting_down()));
-            }
-            ProtoFlow::Submit {
-                session: session_id,
-                request: query_request,
-            }
-        }
-        Request::GroupByQuery(grouped_request) => {
-            let Some((session_id, _)) = state.session else {
-                return ProtoFlow::Reply(Response::Error(no_session()));
-            };
-            if service.upgrade().is_none() {
-                return ProtoFlow::Reply(Response::Error(shutting_down()));
-            }
-            ProtoFlow::SubmitGrouped {
-                session: session_id,
-                request: grouped_request,
-            }
-        }
+        Request::SubmitQuery(request) => submit(state, service, Work::Query(request)),
+        Request::GroupByQuery(request) => submit(state, service, Work::GroupBy(request)),
         Request::DeclareWorkload(workload) => {
             // Planning is a control-plane request: no noise is drawn and
             // no budget is spent, so it is answered inline (overtaking
@@ -579,6 +503,18 @@ fn handle_request(
             format!("request type not supported by this server: {other:?}"),
         ))),
     }
+}
+
+/// Validates a query or GROUP BY submission against the channel state and
+/// hands it back for the frontend to dispatch.
+fn submit(state: &ProtoState, service: &Weak<QueryService>, work: Work) -> ProtoFlow {
+    let Some((session, _)) = state.session else {
+        return ProtoFlow::Reply(Response::Error(no_session()));
+    };
+    if service.upgrade().is_none() {
+        return ProtoFlow::Reply(Response::Error(shutting_down()));
+    }
+    ProtoFlow::Submit { session, work }
 }
 
 pub(crate) fn shutting_down() -> ApiError {

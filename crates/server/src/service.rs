@@ -16,11 +16,11 @@
 //!   turn (no head-of-line blocking), a session occupies at most one
 //!   worker, and each session's noise stream is independent of the worker
 //!   count (see the [`crate`] docs for the exact determinism guarantee);
-//! * asynchronous responses over `std::sync::mpsc` channels — a
-//!   crate-internal detail: same-process embedders block on
-//!   [`QueryService::submit_wait`], and remote/pipelined access goes
-//!   through the versioned analyst protocol served by
-//!   [`crate::frontend::Frontend`].
+//! * one job shape for every submission: a [`Work`] item (a scalar query
+//!   or a GROUP BY) plus a one-shot [`Completion`] the executing worker
+//!   runs with the [`Answer`]. Same-process embedders block on
+//!   [`QueryService::submit_wait`] (a completion that feeds an `mpsc`
+//!   channel); frontends pass a completion that encodes the wire reply.
 
 use std::collections::{HashMap, VecDeque};
 use std::path::PathBuf;
@@ -82,53 +82,6 @@ pub struct ServiceConfig {
     /// knob never perturbs determinism — `tests/determinism.rs` pins a
     /// full service run at 1 vs 8 threads to the same bytes.
     pub scan_threads: usize,
-    /// Role this process plays in a distributed deployment (defaults to
-    /// [`ClusterRole::Standalone`]). The service itself behaves the same
-    /// under every role — the `dprov-cluster` crate attaches the
-    /// replication gate, gateway fan-out or executor endpoint around it —
-    /// but the role is declared here so operators configure one knob and
-    /// introspection (logs, dashboards) can tell the processes apart.
-    pub role: ClusterRole,
-    /// Which connection-handling architecture the TCP frontend uses
-    /// (defaults to [`FrontendMode::ThreadPerConnection`]). Analyst-visible
-    /// behaviour — answers, noise streams, budget charges — is
-    /// bit-identical under both modes; the knob trades per-connection
-    /// threads for a fixed event-loop pool that scales to tens of
-    /// thousands of idle connections.
-    pub frontend_mode: FrontendMode,
-}
-
-/// The role a service process plays in a distributed deployment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ClusterRole {
-    /// A self-contained single-node service (the default).
-    #[default]
-    Standalone,
-    /// The analyst-facing gateway: serves the unchanged analyst protocol,
-    /// replicates budget charges to the replica group and fans same-view
-    /// micro-batches out to shard-owning executor nodes.
-    Gateway,
-    /// A shard-owning executor node: registers with the orchestrator,
-    /// heartbeats, and answers shard-range scans.
-    ExecutorNode,
-}
-
-/// Which connection-handling architecture the TCP frontend uses (see
-/// [`ServiceConfig::frontend_mode`]). The two modes serve the same
-/// versioned protocol and produce bit-identical analyst-visible results;
-/// they differ only in how many OS threads a connection costs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum FrontendMode {
-    /// One reader thread (plus a writer) per accepted connection — the
-    /// original [`crate::frontend::Frontend`]. Simple, and fine up to a
-    /// few hundred concurrent analysts.
-    #[default]
-    ThreadPerConnection,
-    /// A fixed pool of readiness-driven event-loop threads multiplexing
-    /// every connection (the `dprov-net` crate). Thread count is
-    /// independent of connection count, so tens of thousands of mostly
-    /// idle connections cost no extra threads.
-    EventLoop,
 }
 
 impl Default for ServiceConfig {
@@ -141,8 +94,6 @@ impl Default for ServiceConfig {
             max_linger: Duration::ZERO,
             updaters: Vec::new(),
             scan_threads: 1,
-            role: ClusterRole::Standalone,
-            frontend_mode: FrontendMode::ThreadPerConnection,
         }
     }
 }
@@ -218,20 +169,6 @@ impl ServiceConfigBuilder {
     #[must_use]
     pub fn scan_threads(mut self, threads: usize) -> Self {
         self.config.scan_threads = threads;
-        self
-    }
-
-    /// Declares the process's role in a distributed deployment.
-    #[must_use]
-    pub fn role(mut self, role: ClusterRole) -> Self {
-        self.config.role = role;
-        self
-    }
-
-    /// Selects the TCP frontend's connection-handling architecture.
-    #[must_use]
-    pub fn frontend_mode(mut self, mode: FrontendMode) -> Self {
-        self.config.frontend_mode = mode;
         self
     }
 
@@ -330,24 +267,100 @@ impl From<StorageError> for ServerError {
     }
 }
 
-/// The response to one submission.
+/// What one submission asks the worker pool to do. A GROUP BY is one job
+/// like a scalar query: it shares the queue, the session lanes and the
+/// per-view micro-batching, and its per-cell admissions run back-to-back
+/// on the executing worker.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Work {
+    /// A scalar query, answered through [`DProvDb::submit_with_rng`].
+    Query(QueryRequest),
+    /// A grouped query, answered through
+    /// [`DProvDb::answer_group_by_with_rng`].
+    GroupBy(GroupedRequest),
+}
+
+impl Work {
+    /// The grouping key for per-view micro-batching: table + sorted
+    /// referenced attributes. Queries over the same table and attribute
+    /// set resolve to the same catalog view, so the key clusters
+    /// same-view work without paying a full view-selection pass (which
+    /// iterates every view's domain) before admission. A GROUP BY batches
+    /// with the scalar queries of the view it resolves to.
+    fn view_key(&self) -> String {
+        let (table, mut attrs) = match self {
+            Work::Query(r) => (r.query.table.as_str(), r.query.referenced_attributes()),
+            Work::GroupBy(r) => (r.query.table.as_str(), r.query.referenced_attributes()),
+        };
+        attrs.sort();
+        format!("{table}\u{1f}{}", attrs.join(","))
+    }
+}
+
+/// The outcome of one executed [`Work`] item, in the matching shape.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Answer {
+    /// The outcome of a [`Work::Query`].
+    Query(QueryOutcome),
+    /// The outcome of a [`Work::GroupBy`]: one [`QueryOutcome`] per group
+    /// cell in canonical group-enumeration order.
+    GroupBy(GroupedOutcome),
+}
+
+impl Answer {
+    /// Whether the submission counts as answered in the session tallies.
+    /// A grouped submission counts once: answered iff every cell released
+    /// (a partial rejection reads as rejected — the analyst did not get
+    /// the histogram they asked for).
+    fn is_answered(&self) -> bool {
+        match self {
+            Answer::Query(outcome) => outcome.is_answered(),
+            Answer::GroupBy(outcome) => outcome.outcomes.iter().all(QueryOutcome::is_answered),
+        }
+    }
+
+    fn into_query(self) -> QueryOutcome {
+        match self {
+            Answer::Query(outcome) => outcome,
+            Answer::GroupBy(_) => unreachable!("a query job completes with a query outcome"),
+        }
+    }
+
+    fn into_group_by(self) -> GroupedOutcome {
+        match self {
+            Answer::GroupBy(outcome) => outcome,
+            Answer::Query(_) => unreachable!("a GROUP BY job completes with a grouped outcome"),
+        }
+    }
+}
+
+/// The one-shot completion of a submission. Every accepted job runs its
+/// completion exactly once, on the worker thread that executed it (or
+/// with [`ServerError::ShuttingDown`] if shutdown strands it), so it must
+/// be quick and non-blocking; a rejected submission never runs it.
+pub type Completion = Box<dyn FnOnce(Result<Answer, ServerError>) + Send>;
+
+/// The response to one scalar submission.
 pub type QueryResponse = Result<QueryOutcome, ServerError>;
 
-/// Why [`QueryService::try_submit_callback`] could not accept a
-/// submission.
+/// The response to one grouped (GROUP BY) submission.
+pub type GroupedResponse = Result<GroupedOutcome, ServerError>;
+
+/// Why [`QueryService::try_submit`] could not accept a submission.
 pub enum TrySubmitError {
-    /// The runnable queue is full. The request and its callback are
-    /// handed back intact so the caller can park them and retry once a
-    /// queue-space listener fires — this is the backpressure signal the
-    /// event-loop frontend turns into "stop reading this connection".
+    /// The runnable queue is full. The work and its completion are handed
+    /// back intact (the completion has not run) so the caller can park
+    /// them and retry once a queue-space listener fires — this is the
+    /// backpressure signal the event-loop frontend turns into "stop
+    /// reading this connection".
     Full {
-        /// The submitted request, returned unexecuted.
-        request: QueryRequest,
-        /// The completion callback, never invoked.
-        on_done: QueryCallback,
+        /// The submitted work, returned unexecuted.
+        work: Work,
+        /// The completion, never invoked.
+        on_done: Completion,
     },
     /// The submission was rejected outright (unknown/expired session or a
-    /// shutting-down service). The callback is dropped without running;
+    /// shutting-down service). The completion is dropped without running;
     /// the caller reports the error itself.
     Rejected(ServerError),
 }
@@ -355,40 +368,11 @@ pub enum TrySubmitError {
 impl std::fmt::Debug for TrySubmitError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            TrySubmitError::Full { request, .. } => f
+            TrySubmitError::Full { work, .. } => f
                 .debug_struct("Full")
-                .field("request", request)
+                .field("work", work)
                 .finish_non_exhaustive(),
             TrySubmitError::Rejected(e) => f.debug_tuple("Rejected").field(e).finish(),
-        }
-    }
-}
-
-/// Why [`QueryService::try_submit_grouped_callback`] could not accept a
-/// grouped submission — the grouped twin of [`TrySubmitError`], with the
-/// same park-and-retry contract.
-pub enum TrySubmitGroupedError {
-    /// The runnable queue is full; the request and its callback are
-    /// handed back intact for the caller to park and retry.
-    Full {
-        /// The submitted grouped request, returned unexecuted.
-        request: GroupedRequest,
-        /// The completion callback, never invoked.
-        on_done: GroupedCallback,
-    },
-    /// The submission was rejected outright; the callback is dropped
-    /// without running.
-    Rejected(ServerError),
-}
-
-impl std::fmt::Debug for TrySubmitGroupedError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            TrySubmitGroupedError::Full { request, .. } => f
-                .debug_struct("Full")
-                .field("request", request)
-                .finish_non_exhaustive(),
-            TrySubmitGroupedError::Rejected(e) => f.debug_tuple("Rejected").field(e).finish(),
         }
     }
 }
@@ -575,116 +559,13 @@ fn system_fingerprint(system: &DProvDb) -> u64 {
     )
 }
 
-/// A completion handler invoked with the response of a non-blocking
-/// submission (see [`QueryService::try_submit_callback`]). Runs on the
-/// worker thread that executed the job, so it must be quick and
-/// non-blocking — the event-loop frontend uses it to hand the encoded
-/// reply back to the owning loop thread.
-pub type QueryCallback = Box<dyn FnOnce(QueryResponse) + Send>;
-
-/// The response to one grouped (GROUP BY) submission: one
-/// [`QueryOutcome`] per group cell in canonical group-enumeration order.
-pub type GroupedResponse = Result<GroupedOutcome, ServerError>;
-
-/// A completion handler for a non-blocking grouped submission (see
-/// [`QueryService::try_submit_grouped_callback`]); same contract as
-/// [`QueryCallback`].
-pub type GroupedCallback = Box<dyn FnOnce(GroupedResponse) + Send>;
-
-/// How a finished job's response travels back to its submitter.
-enum Responder {
-    /// The blocking/pipelined path: the submitter parks on (or polls) the
-    /// receiving end of an `mpsc` channel.
-    Channel(mpsc::Sender<QueryResponse>),
-    /// The event-driven path: a one-shot callback invoked on the worker.
-    Callback(QueryCallback),
-}
-
-impl Responder {
-    /// Delivers the response, consuming the responder. A dropped channel
-    /// receiver is fine — the submitter walked away.
-    fn deliver(self, response: QueryResponse) {
-        match self {
-            Responder::Channel(tx) => {
-                let _ = tx.send(response);
-            }
-            Responder::Callback(on_done) => on_done(response),
-        }
-    }
-}
-
-/// How a finished grouped job's response travels back to its submitter
-/// (the grouped twin of [`Responder`]).
-enum GroupedResponder {
-    Channel(mpsc::Sender<GroupedResponse>),
-    Callback(GroupedCallback),
-}
-
-impl GroupedResponder {
-    fn deliver(self, response: GroupedResponse) {
-        match self {
-            GroupedResponder::Channel(tx) => {
-                let _ = tx.send(response);
-            }
-            GroupedResponder::Callback(on_done) => on_done(response),
-        }
-    }
-}
-
-/// What a job executes, paired with the matching response path. Scalar
-/// and grouped submissions share the queue, the session lanes and the
-/// per-view micro-batching; only the core call and the response type
-/// differ.
-enum JobWork {
-    Scalar {
-        request: QueryRequest,
-        responder: Responder,
-    },
-    Grouped {
-        request: GroupedRequest,
-        responder: GroupedResponder,
-    },
-}
-
-impl JobWork {
-    /// The grouping key for per-view micro-batching: table + sorted
-    /// referenced attributes. Queries over the same table and attribute
-    /// set resolve to the same catalog view, so the key clusters
-    /// same-view work without paying a full view-selection pass (which
-    /// iterates every view's domain) before admission. Grouped work uses
-    /// the same key shape, so a GROUP BY batches with the scalar queries
-    /// of the view it resolves to.
-    fn view_key(&self) -> String {
-        let (table, mut attrs) = match self {
-            JobWork::Scalar { request, .. } => (
-                request.query.table.as_str(),
-                request.query.referenced_attributes(),
-            ),
-            JobWork::Grouped { request, .. } => (
-                request.query.table.as_str(),
-                request.query.referenced_attributes(),
-            ),
-        };
-        attrs.sort();
-        format!("{table}\u{1f}{}", attrs.join(","))
-    }
-
-    /// Fails the job without executing it (shutdown paths), delivering
-    /// the error through whichever response path the job carries.
-    fn fail(self, error: ServerError) {
-        match self {
-            JobWork::Scalar { responder, .. } => responder.deliver(Err(error)),
-            JobWork::Grouped { responder, .. } => responder.deliver(Err(error)),
-        }
-    }
-}
-
 /// One unit of work for the pool.
 struct Job {
     session: Arc<Session>,
-    work: JobWork,
+    work: Work,
+    on_done: Completion,
     /// Request id keying this job's trace-journal events (the protocol's
-    /// pipelining id when the job came through the frontend, a
+    /// pipelining id when the job came through a frontend, a
     /// service-assigned sequence number for in-process submissions).
     trace_id: u64,
     /// When the job entered the queue (or a session lane); `None` with a
@@ -692,9 +573,15 @@ struct Job {
     enqueued_at: Option<Instant>,
 }
 
-/// Why the shared non-blocking enqueue tail could not accept a job; the
-/// public `TrySubmit*Error` types are carved back out of the returned
-/// [`Job`] by the typed wrappers.
+impl Job {
+    /// Fails an accepted job without executing it (shutdown paths).
+    fn fail(self, error: ServerError) {
+        (self.on_done)(Err(error));
+    }
+}
+
+/// Why the non-blocking enqueue tail could not accept a job; the public
+/// [`TrySubmitError`] is carved back out of the returned [`Job`].
 enum TryEnqueueError {
     /// The runnable queue is full; the job comes back intact (boxed to
     /// keep the error variant small).
@@ -776,9 +663,6 @@ pub struct QueryService {
     /// Trace-id sequence for in-process submissions (protocol submissions
     /// carry their own pipelining id).
     trace_seq: AtomicU64,
-    /// The configured frontend architecture ([`ServiceConfig::frontend_mode`]);
-    /// `listen` dispatches on it.
-    frontend_mode: FrontendMode,
     /// The configured session TTL, exposed so the event-loop frontend can
     /// derive its idle-connection reaping horizon from the same knob.
     session_ttl: Duration,
@@ -983,7 +867,6 @@ impl QueryService {
             queue_depth_hwm: AtomicUsize::new(0),
             batch_sizes,
             trace_seq: AtomicU64::new(1),
-            frontend_mode: config.frontend_mode,
             session_ttl: config.session_ttl,
         }
     }
@@ -1056,6 +939,7 @@ impl QueryService {
         let Job {
             session,
             work,
+            on_done,
             trace_id,
             enqueued_at,
         } = job;
@@ -1069,66 +953,35 @@ impl QueryService {
             metrics.observe_duration(HistId::QueueWait, waited);
             metrics.trace(trace_id, Stage::QueueWait, worker, enqueued_at, waited);
         }
-        match work {
-            JobWork::Scalar { request, responder } => {
-                let result = {
-                    let mut rng = session.rng.lock().expect("session rng poisoned");
-                    system.submit_with_rng(session.analyst(), &request, &mut rng)
-                };
-                if let Some(t0) = exec_start {
-                    // The Execute latency histogram is recorded inside the
-                    // core (it also covers cache hits served without a
-                    // service); here only the trace stage is added.
-                    metrics.trace(trace_id, Stage::Execute, worker, t0, t0.elapsed());
-                }
-                completed.fetch_add(1, Ordering::Relaxed);
-                let response: QueryResponse = match result {
-                    Ok(outcome) => match Self::checkpoint_session(durable, &session) {
-                        Ok(()) => {
-                            session.record_outcome(outcome.is_answered());
-                            Ok(outcome)
-                        }
-                        Err(e) => Err(e),
-                    },
-                    Err(e) => Err(ServerError::Core(e)),
-                };
-                // The submitter may have dropped its receiver; that is
-                // fine.
-                responder.deliver(response);
+        // Both shapes draw their noise from the session's private stream
+        // under the same lock; a GROUP BY draws per cell in the core's
+        // canonical group enumeration, so answers stay deterministic.
+        let result = {
+            let mut rng = session.rng.lock().expect("session rng poisoned");
+            match &work {
+                Work::Query(request) => system
+                    .submit_with_rng(session.analyst(), request, &mut rng)
+                    .map(Answer::Query),
+                Work::GroupBy(request) => system
+                    .answer_group_by_with_rng(session.analyst(), request, &mut rng)
+                    .map(Answer::GroupBy),
             }
-            JobWork::Grouped { request, responder } => {
-                // The grouped path draws per-cell noise from the same
-                // session stream the scalar path uses, under the same
-                // lock — cell order is the core's canonical group
-                // enumeration, so answers stay deterministic.
-                let result = {
-                    let mut rng = session.rng.lock().expect("session rng poisoned");
-                    system.answer_group_by_with_rng(session.analyst(), &request, &mut rng)
-                };
-                if let Some(t0) = exec_start {
-                    metrics.trace(trace_id, Stage::Execute, worker, t0, t0.elapsed());
-                }
-                completed.fetch_add(1, Ordering::Relaxed);
-                let response: GroupedResponse = match result {
-                    Ok(outcome) => match Self::checkpoint_session(durable, &session) {
-                        Ok(()) => {
-                            // One grouped submission counts once in the
-                            // session tallies: answered iff every cell
-                            // released (a partial rejection reads as
-                            // rejected — the analyst did not get the
-                            // histogram they asked for).
-                            session.record_outcome(
-                                outcome.outcomes.iter().all(QueryOutcome::is_answered),
-                            );
-                            Ok(outcome)
-                        }
-                        Err(e) => Err(e),
-                    },
-                    Err(e) => Err(ServerError::Core(e)),
-                };
-                responder.deliver(response);
-            }
+        };
+        if let Some(t0) = exec_start {
+            // The Execute latency histogram is recorded inside the core
+            // (it also covers cache hits served without a service); here
+            // only the trace stage is added.
+            metrics.trace(trace_id, Stage::Execute, worker, t0, t0.elapsed());
         }
+        completed.fetch_add(1, Ordering::Relaxed);
+        let response = match result {
+            Ok(answer) => Self::checkpoint_session(durable, &session).map(|()| {
+                session.record_outcome(answer.is_answered());
+                answer
+            }),
+            Err(e) => Err(ServerError::Core(e)),
+        };
+        on_done(response);
 
         // Periodic compaction: fold the ledger into a snapshot once
         // it has grown past the watermark (raised after failures so
@@ -1367,76 +1220,102 @@ impl QueryService {
         })
     }
 
-    /// Submits a query on a session; returns a receiver that will yield the
-    /// outcome once a worker has executed it. Blocks only if the runnable
-    /// queue is full (backpressure; the queue holds at most one job per
-    /// session, so its capacity bounds the number of concurrently active
-    /// sessions, not a session's pipeline depth).
+    /// The next service-assigned trace id (in-process submissions).
+    fn next_trace_id(&self) -> u64 {
+        self.trace_seq.fetch_add(1, Ordering::Relaxed)
+    }
+
+    /// Wraps `work` and `on_done` into a job for session `id`.
+    fn job(
+        &self,
+        id: SessionId,
+        work: Work,
+        trace_id: u64,
+        on_done: Completion,
+    ) -> Result<Job, ServerError> {
+        Ok(Job {
+            session: self.sessions.get(id)?,
+            work,
+            on_done,
+            trace_id,
+            enqueued_at: self.metrics.start(),
+        })
+    }
+
+    /// Submits `work` on a session, blocking only while the runnable queue
+    /// is full (backpressure; the queue holds at most one job per session,
+    /// so its capacity bounds the number of concurrently active sessions,
+    /// not a session's pipeline depth). `on_done` runs exactly once with
+    /// the answer if the submission is accepted, and never if it is
+    /// rejected (the error is returned instead). `trace_id` keys the job's
+    /// trace-journal events — frontends pass the protocol's pipelining id,
+    /// so one request's decode, queue-wait, execute and reply stages line
+    /// up in the exported trace.
     ///
-    /// Crate-internal: the raw `mpsc::Receiver` surface is an
-    /// implementation detail of the worker pool. Analyst-facing pipelining
-    /// goes through the versioned protocol instead — the
-    /// [`crate::frontend::Frontend`] feeds this method and
-    /// `dprov_api::DProvClient::submit`/`poll` expose it; same-process
-    /// embedders get the blocking [`QueryService::submit_wait`].
+    /// Crate-internal: the in-process frontend feeds this; same-process
+    /// embedders use the typed [`Self::submit_wait`],
+    /// [`Self::submit_pipelined`] and [`Self::group_by_wait`].
     pub(crate) fn submit(
         &self,
         id: SessionId,
-        request: QueryRequest,
-    ) -> Result<mpsc::Receiver<QueryResponse>, ServerError> {
-        let trace_id = self.trace_seq.fetch_add(1, Ordering::Relaxed);
-        self.submit_traced(id, request, trace_id)
+        work: Work,
+        trace_id: u64,
+        on_done: Completion,
+    ) -> Result<(), ServerError> {
+        let job = self.job(id, work, trace_id, on_done)?;
+        self.enqueue(job)
     }
 
-    /// [`Self::submit`] with a caller-chosen trace id: the frontend keys a
-    /// job's trace-journal events by its protocol pipelining id, so one
-    /// request's decode, queue-wait, execute and reply stages line up in
-    /// the exported trace.
-    pub(crate) fn submit_traced(
+    /// Non-blocking submission — the event-loop frontend's path into the
+    /// worker pool. Unlike [`Self::submit_wait`], this never parks the
+    /// calling thread: a full runnable queue hands the work and its
+    /// completion back as [`TrySubmitError::Full`], so a loop thread can
+    /// deregister read interest on the submitting connection and retry
+    /// when a queue-space listener (see
+    /// [`Self::add_queue_space_listener`]) fires.
+    ///
+    /// Session-lane semantics are identical to the blocking path: if the
+    /// session already has a runnable job the new one waits in its lane
+    /// (always accepted — lanes are unbounded, per-session FIFO), and the
+    /// job only contends for queue space when it is the session's runnable
+    /// head. The completion contract is [`Completion`]'s.
+    // The Err variant deliberately hands the unexecuted work (and its
+    // completion) back to the caller so a non-blocking frontend can park
+    // and retry it — the size is the payload, not accidental bloat.
+    #[allow(clippy::result_large_err)]
+    pub fn try_submit(
         &self,
         id: SessionId,
-        request: QueryRequest,
+        work: Work,
         trace_id: u64,
-    ) -> Result<mpsc::Receiver<QueryResponse>, ServerError> {
-        let session = self.sessions.get(id)?;
-        let (tx, rx) = mpsc::channel();
-        let job = Job {
-            session: Arc::clone(&session),
-            work: JobWork::Scalar {
-                request,
-                responder: Responder::Channel(tx),
-            },
-            trace_id,
-            enqueued_at: self.metrics.start(),
-        };
-        self.enqueue(&session, job)?;
-        Ok(rx)
+        on_done: Completion,
+    ) -> Result<(), TrySubmitError> {
+        let job = self
+            .job(id, work, trace_id, on_done)
+            .map_err(TrySubmitError::Rejected)?;
+        match self.try_enqueue(job) {
+            Ok(()) => Ok(()),
+            Err(TryEnqueueError::Full(job)) => Err(TrySubmitError::Full {
+                work: job.work,
+                on_done: job.on_done,
+            }),
+            Err(TryEnqueueError::Rejected(e)) => Err(TrySubmitError::Rejected(e)),
+        }
     }
 
-    /// Submits a grouped (GROUP BY) query on a session — the grouped twin
-    /// of [`Self::submit_traced`], with identical session-lane, queue and
-    /// micro-batch semantics. The whole grouped answer is one job: its
-    /// per-cell admissions run back-to-back on the executing worker, and
-    /// per-session FIFO ordering against the session's scalar submissions
-    /// is preserved.
-    pub(crate) fn submit_grouped_traced(
+    /// Submits `work` with a completion that feeds a fresh channel; the
+    /// receiver yields the answer once a worker has executed it.
+    fn submit_channel(
         &self,
         id: SessionId,
-        request: GroupedRequest,
-        trace_id: u64,
-    ) -> Result<mpsc::Receiver<GroupedResponse>, ServerError> {
-        let session = self.sessions.get(id)?;
+        work: Work,
+    ) -> Result<mpsc::Receiver<Result<Answer, ServerError>>, ServerError> {
         let (tx, rx) = mpsc::channel();
-        let job = Job {
-            session: Arc::clone(&session),
-            work: JobWork::Grouped {
-                request,
-                responder: GroupedResponder::Channel(tx),
-            },
-            trace_id,
-            enqueued_at: self.metrics.start(),
-        };
-        self.enqueue(&session, job)?;
+        let on_done: Completion = Box::new(move |response| {
+            // The submitter may have dropped its receiver; that is fine.
+            let _ = tx.send(response);
+        });
+        self.submit(id, work, self.next_trace_id(), on_done)?;
         Ok(rx)
     }
 
@@ -1444,16 +1323,15 @@ impl QueryService {
     /// [`QueryOutcome`] per group cell, canonical order) is available —
     /// the same-process embedder path, like [`Self::submit_wait`].
     pub fn group_by_wait(&self, id: SessionId, request: GroupedRequest) -> GroupedResponse {
-        let trace_id = self.trace_seq.fetch_add(1, Ordering::Relaxed);
-        match self.submit_grouped_traced(id, request, trace_id) {
-            Ok(rx) => rx.recv().unwrap_or(Err(ServerError::ShuttingDown)),
-            Err(e) => Err(e),
-        }
+        let rx = self.submit_channel(id, Work::GroupBy(request))?;
+        let answer = rx.recv().map_err(|_| ServerError::ShuttingDown)??;
+        Ok(answer.into_group_by())
     }
 
     /// Places a job on its session lane or the runnable queue (blocking on
-    /// a full queue) — the shared tail of every blocking submission path.
-    fn enqueue(&self, session: &Arc<Session>, job: Job) -> Result<(), ServerError> {
+    /// a full queue) — the tail of the blocking submission path.
+    fn enqueue(&self, job: Job) -> Result<(), ServerError> {
+        let session = Arc::clone(&job.session);
         let id = session.id();
         // If the session already has a runnable job, append to its lane —
         // the finishing worker will chain into it (accepted work always
@@ -1492,7 +1370,7 @@ impl QueryService {
                             .map_or_else(VecDeque::new, |l| l.pending)
                     };
                     for job in stranded {
-                        job.work.fail(ServerError::ShuttingDown);
+                        job.fail(ServerError::ShuttingDown);
                     }
                     return Err(ServerError::ShuttingDown);
                 }
@@ -1503,106 +1381,10 @@ impl QueryService {
         Ok(())
     }
 
-    /// Non-blocking submission with a completion callback — the
-    /// event-loop frontend's path into the worker pool. Unlike
-    /// [`QueryService::submit_wait`], this never parks the calling thread:
-    /// a full runnable queue hands the request and callback back as
-    /// [`TrySubmitError::Full`] instead of blocking, so a loop thread can
-    /// deregister read interest on the submitting connection and retry
-    /// when a queue-space listener (see
-    /// [`QueryService::add_queue_space_listener`]) fires.
-    ///
-    /// Session-lane semantics are identical to the blocking path: if the
-    /// session already has a runnable job the new one waits in its lane
-    /// (always accepted — lanes are unbounded, per-session FIFO), and the
-    /// job only contends for queue space when it is the session's runnable
-    /// head. The callback runs on the executing worker thread; keep it
-    /// quick and non-blocking.
-    // The Err variant deliberately hands the unexecuted request (and its
-    // callback) back to the caller so a non-blocking frontend can park and
-    // retry it — the size is the payload, not accidental bloat.
-    #[allow(clippy::result_large_err)]
-    pub fn try_submit_callback(
-        &self,
-        id: SessionId,
-        request: QueryRequest,
-        trace_id: u64,
-        on_done: QueryCallback,
-    ) -> Result<(), TrySubmitError> {
-        let session = match self.sessions.get(id) {
-            Ok(s) => s,
-            Err(e) => return Err(TrySubmitError::Rejected(ServerError::Session(e))),
-        };
-        let job = Job {
-            session: Arc::clone(&session),
-            work: JobWork::Scalar {
-                request,
-                responder: Responder::Callback(on_done),
-            },
-            trace_id,
-            enqueued_at: self.metrics.start(),
-        };
-        match self.try_enqueue(&session, job) {
-            Ok(()) => Ok(()),
-            Err(TryEnqueueError::Full(job)) => {
-                let JobWork::Scalar {
-                    request,
-                    responder: Responder::Callback(on_done),
-                } = job.work
-                else {
-                    unreachable!("try_submit_callback builds scalar callback jobs")
-                };
-                Err(TrySubmitError::Full { request, on_done })
-            }
-            Err(TryEnqueueError::Rejected(e)) => Err(TrySubmitError::Rejected(e)),
-        }
-    }
-
-    /// Non-blocking grouped submission with a completion callback — the
-    /// event-loop frontend's path for GROUP BY queries, with the same
-    /// park-and-retry backpressure contract as
-    /// [`Self::try_submit_callback`].
-    #[allow(clippy::result_large_err)]
-    pub fn try_submit_grouped_callback(
-        &self,
-        id: SessionId,
-        request: GroupedRequest,
-        trace_id: u64,
-        on_done: GroupedCallback,
-    ) -> Result<(), TrySubmitGroupedError> {
-        let session = match self.sessions.get(id) {
-            Ok(s) => s,
-            Err(e) => return Err(TrySubmitGroupedError::Rejected(ServerError::Session(e))),
-        };
-        let job = Job {
-            session: Arc::clone(&session),
-            work: JobWork::Grouped {
-                request,
-                responder: GroupedResponder::Callback(on_done),
-            },
-            trace_id,
-            enqueued_at: self.metrics.start(),
-        };
-        match self.try_enqueue(&session, job) {
-            Ok(()) => Ok(()),
-            Err(TryEnqueueError::Full(job)) => {
-                let JobWork::Grouped {
-                    request,
-                    responder: GroupedResponder::Callback(on_done),
-                } = job.work
-                else {
-                    unreachable!("try_submit_grouped_callback builds grouped callback jobs")
-                };
-                Err(TrySubmitGroupedError::Full { request, on_done })
-            }
-            Err(TryEnqueueError::Rejected(e)) => Err(TrySubmitGroupedError::Rejected(e)),
-        }
-    }
-
-    /// The shared tail of the non-blocking submission paths: lane claim
-    /// plus queue reservation, handing the intact job back on a full
-    /// queue.
-    fn try_enqueue(&self, session: &Arc<Session>, job: Job) -> Result<(), TryEnqueueError> {
+    /// The tail of the non-blocking submission path: lane claim plus queue
+    /// reservation, handing the intact job back on a full queue.
+    fn try_enqueue(&self, job: Job) -> Result<(), TryEnqueueError> {
+        let session = Arc::clone(&job.session);
         let id = session.id();
         // Hold the lane lock across the (non-blocking) queue reservation
         // so a `Full` verdict can undo the lane claim atomically — no
@@ -1636,15 +1418,16 @@ impl QueryService {
                 Err(TryPushError::Closed(job)) => {
                     // Mirror the blocking path's shutdown handling: fail
                     // any lane-pending jobs that would never be chained
-                    // into, then report the rejection (this job's callback
-                    // is dropped unrun — the caller owns the error).
+                    // into, then report the rejection (this job's
+                    // completion is dropped unrun — the caller owns the
+                    // error).
                     drop(job);
                     let stranded = lanes
                         .remove(&id.0)
                         .map_or_else(VecDeque::new, |l| l.pending);
                     drop(lanes);
                     for job in stranded {
-                        job.work.fail(ServerError::ShuttingDown);
+                        job.fail(ServerError::ShuttingDown);
                     }
                     return Err(TryEnqueueError::Rejected(ServerError::ShuttingDown));
                 }
@@ -1665,12 +1448,6 @@ impl QueryService {
         self.queue.add_space_listener(listener);
     }
 
-    /// The configured frontend architecture.
-    #[must_use]
-    pub fn frontend_mode(&self) -> FrontendMode {
-        self.frontend_mode
-    }
-
     /// The configured session time-to-live ([`ServiceConfig::session_ttl`]).
     #[must_use]
     pub fn session_ttl(&self) -> Duration {
@@ -1688,14 +1465,14 @@ impl QueryService {
     /// and resolve them later with [`PendingQuery::wait`]; this is what
     /// lets the workers' per-view micro-batches actually fill up when the
     /// service is driven in-process. Remote pipelining goes through the
-    /// protocol [`crate::frontend::Frontend`] instead.
+    /// versioned protocol instead.
     pub fn submit_pipelined(
         &self,
         id: SessionId,
         request: QueryRequest,
     ) -> Result<PendingQuery, ServerError> {
         Ok(PendingQuery {
-            rx: self.submit(id, request)?,
+            rx: self.submit_channel(id, Work::Query(request))?,
         })
     }
 
@@ -1865,14 +1642,15 @@ pub type QuerySessionResult = Result<SessionId, ServerError>;
 /// asynchronously.
 #[derive(Debug)]
 pub struct PendingQuery {
-    rx: mpsc::Receiver<QueryResponse>,
+    rx: mpsc::Receiver<Result<Answer, ServerError>>,
 }
 
 impl PendingQuery {
     /// Blocks until the submission's outcome is available. A service torn
     /// down before answering reports [`ServerError::ShuttingDown`].
     pub fn wait(self) -> QueryResponse {
-        self.rx.recv().map_err(|_| ServerError::ShuttingDown)?
+        let answer = self.rx.recv().map_err(|_| ServerError::ShuttingDown)??;
+        Ok(answer.into_query())
     }
 }
 
@@ -1992,10 +1770,10 @@ mod tests {
             .collect();
         let receivers: Vec<_> = sessions
             .iter()
-            .map(|&s| service.submit(s, request(25, 45, 700.0)).unwrap())
+            .map(|&s| service.submit_pipelined(s, request(25, 45, 700.0)).unwrap())
             .collect();
         for rx in receivers {
-            assert!(rx.recv().unwrap().unwrap().is_answered());
+            assert!(rx.wait().unwrap().is_answered());
         }
         let stats = service.shutdown();
         assert_eq!(stats.completed, 8);
@@ -2018,12 +1796,12 @@ mod tests {
         let receivers: Vec<_> = (0..10)
             .map(|i| {
                 service
-                    .submit(session, request(20 + i, 40 + i, 400.0 + i as f64))
+                    .submit_pipelined(session, request(20 + i, 40 + i, 400.0 + i as f64))
                     .unwrap()
             })
             .collect();
         for rx in receivers {
-            assert!(rx.recv().unwrap().unwrap().is_answered());
+            assert!(rx.wait().unwrap().is_answered());
         }
         assert_eq!(service.session_info(session).unwrap().answered, 10);
     }
@@ -2077,7 +1855,7 @@ mod tests {
             Err(ServerError::Core(_))
         ));
         assert!(matches!(
-            service.submit(SessionId(99), request(20, 30, 100.0)),
+            service.submit_pipelined(SessionId(99), request(20, 30, 100.0)),
             Err(ServerError::Session(SessionError::Unknown(_)))
         ));
     }
@@ -2090,12 +1868,12 @@ mod tests {
         let receivers: Vec<_> = (0..10)
             .map(|i| {
                 service
-                    .submit(session, request(20 + i, 40 + i, 400.0 + i as f64))
+                    .submit_pipelined(session, request(20 + i, 40 + i, 400.0 + i as f64))
                     .unwrap()
             })
             .collect();
         for rx in receivers {
-            assert!(rx.recv().unwrap().unwrap().is_answered());
+            assert!(rx.wait().unwrap().is_answered());
         }
         let info = service.session_info(session).unwrap();
         assert_eq!(info.answered, 10);
@@ -2107,8 +1885,10 @@ mod tests {
             QueryService::start(system(MechanismKind::AdditiveGaussian, 8.0, 2), workers(2));
         let session = service.open_session(AnalystId(1)).unwrap();
         for i in 0..4 {
-            let rx = service.submit(session, request(20 + i, 40, 600.0)).unwrap();
-            rx.recv().unwrap().unwrap();
+            let rx = service
+                .submit_pipelined(session, request(20 + i, 40, 600.0))
+                .unwrap();
+            rx.wait().unwrap();
         }
         // The worker removes the lane the moment it goes idle; the removal
         // happens just after the last response is sent, so poll briefly.
@@ -2136,7 +1916,7 @@ mod tests {
         let session = service.open_session(AnalystId(0)).unwrap();
         std::thread::sleep(Duration::from_millis(50));
         assert!(matches!(
-            service.submit(session, request(20, 30, 100.0)),
+            service.submit_pipelined(session, request(20, 30, 100.0)),
             Err(ServerError::Session(SessionError::Expired(_)))
         ));
         assert_eq!(service.expire_stale_sessions(), vec![session]);
@@ -2377,7 +2157,7 @@ mod tests {
         for round in 0u64..3 {
             let receivers: Vec<_> = sessions
                 .iter()
-                .map(|&s| service.submit(s, request(25, 45, 900.0)).unwrap())
+                .map(|&s| service.submit_pipelined(s, request(25, 45, 900.0)).unwrap())
                 .collect();
             let batch = UpdateBatch::insert("adult", vec![adult_row(30), adult_row(30)]);
             service.apply_update(&batch).unwrap();
@@ -2385,7 +2165,7 @@ mod tests {
             assert_eq!(report.epoch, round + 1);
             assert_eq!(report.rows, 2);
             for rx in receivers {
-                let outcome = rx.recv().unwrap().unwrap();
+                let outcome = rx.wait().unwrap();
                 let answered = outcome.answered().expect("answered");
                 // An answer reflects a whole epoch — one at or before the
                 // seal that just ran.
@@ -2453,6 +2233,117 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// The non-blocking contract, for both work shapes: a full queue hands
+    /// the same work back with its completion unrun and no idle lane left
+    /// behind; a retry after the queue drains runs the completion exactly
+    /// once; after shutdown a rejection never runs it.
+    #[test]
+    fn try_submit_parks_on_full_and_completes_exactly_once() {
+        use dprov_engine::group::GroupByQuery;
+        let config = ServiceConfig::builder()
+            .workers(1)
+            .queue_capacity(1)
+            .build()
+            .unwrap();
+        let service = QueryService::start(system(MechanismKind::AdditiveGaussian, 16.0, 4), config);
+        let sessions: Vec<_> = (0..4)
+            .map(|a| service.open_session(AnalystId(a)).unwrap())
+            .collect();
+        let works = [
+            (sessions[2], Work::Query(request(25, 45, 700.0))),
+            (
+                sessions[3],
+                Work::GroupBy(GroupedRequest::with_accuracy(
+                    GroupByQuery::count("adult", &["sex"]),
+                    900.0,
+                )),
+            ),
+        ];
+        let runs: Vec<Arc<AtomicUsize>> = works.iter().map(|_| Arc::default()).collect();
+        let counting = |runs: &Arc<AtomicUsize>| -> Completion {
+            let runs = Arc::clone(runs);
+            Box::new(move |response| {
+                assert!(response.is_ok(), "retried work is answered");
+                runs.fetch_add(1, Ordering::SeqCst);
+            })
+        };
+
+        // Block the only worker: holding the epoch barrier's write side
+        // stalls it after it pops its first job, so one more job fills the
+        // single queue slot.
+        let barrier = service.epoch_barrier.write().unwrap();
+        let first = service
+            .submit_pipelined(sessions[0], request(20, 40, 600.0))
+            .unwrap();
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !service.queue.is_empty() {
+            assert!(Instant::now() < deadline, "worker never took the job");
+            std::thread::yield_now();
+        }
+        let second = service
+            .submit_pipelined(sessions[1], request(20, 40, 600.0))
+            .unwrap();
+
+        let mut parked = Vec::new();
+        for ((session, work), runs) in works.iter().zip(&runs) {
+            match service.try_submit(*session, work.clone(), 7, counting(runs)) {
+                Err(TrySubmitError::Full {
+                    work: returned,
+                    on_done,
+                }) => {
+                    assert_eq!(&returned, work, "Full hands back the same work");
+                    parked.push((*session, returned, on_done));
+                }
+                other => panic!("expected Full, got {other:?}"),
+            }
+            assert_eq!(runs.load(Ordering::SeqCst), 0, "completion ran early");
+            assert!(
+                !service.lanes.lock().unwrap().contains_key(&session.0),
+                "a bounced submission left an idle lane behind"
+            );
+        }
+
+        // Drain the queue, then retry the parked work (re-parking while the
+        // single slot is taken, as the event loop does).
+        drop(barrier);
+        assert!(first.wait().unwrap().is_answered());
+        assert!(second.wait().unwrap().is_answered());
+        for (session, mut work, mut on_done) in parked {
+            loop {
+                match service.try_submit(session, work, 7, on_done) {
+                    Ok(()) => break,
+                    Err(TrySubmitError::Full {
+                        work: returned,
+                        on_done: unrun,
+                    }) => {
+                        (work, on_done) = (returned, unrun);
+                        std::thread::yield_now();
+                    }
+                    Err(e) => panic!("retry rejected: {e:?}"),
+                }
+            }
+        }
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while runs.iter().any(|r| r.load(Ordering::SeqCst) == 0) {
+            assert!(Instant::now() < deadline, "retried work never completed");
+            std::thread::yield_now();
+        }
+
+        // After shutdown (the queue closes first), a rejection drops the
+        // completion unrun.
+        service.queue.close();
+        for ((session, work), runs) in works.iter().zip(&runs) {
+            assert!(matches!(
+                service.try_submit(*session, work.clone(), 7, counting(runs)),
+                Err(TrySubmitError::Rejected(ServerError::ShuttingDown))
+            ));
+        }
+        service.shutdown();
+        for runs in &runs {
+            assert_eq!(runs.load(Ordering::SeqCst), 1, "exactly one completion");
+        }
+    }
+
     #[test]
     fn shutdown_drains_pending_work() {
         let service =
@@ -2463,14 +2354,18 @@ mod tests {
         let receivers: Vec<_> = sessions
             .iter()
             .flat_map(|&s| (0..5).map(move |i| (s, i)))
-            .map(|(s, i)| service.submit(s, request(20 + i, 45, 900.0)).unwrap())
+            .map(|(s, i)| {
+                service
+                    .submit_pipelined(s, request(20 + i, 45, 900.0))
+                    .unwrap()
+            })
             .collect();
         let stats = service.shutdown();
         assert_eq!(stats.submitted, 20);
         assert_eq!(stats.completed, 20);
         for rx in receivers {
             // Every submitted job got a response before shutdown returned.
-            assert!(rx.try_recv().is_ok());
+            assert!(rx.wait().is_ok());
         }
     }
 }

@@ -30,8 +30,8 @@ use dprovdb::core::system::DProvDb;
 use dprovdb::engine::catalog::ViewCatalog;
 use dprovdb::engine::datagen::adult::adult_database;
 use dprovdb::engine::query::Query;
-use dprovdb::net::listen;
-use dprovdb::server::{FrontendMode, QueryService, ServiceConfig};
+use dprovdb::net::{EventLoopFrontend, NetConfig};
+use dprovdb::server::{QueryService, ServiceConfig};
 
 fn build_service() -> Arc<QueryService> {
     let db = adult_database(2_000, 1);
@@ -52,11 +52,7 @@ fn build_service() -> Arc<QueryService> {
     );
     Arc::new(QueryService::start(
         system,
-        ServiceConfig::builder()
-            .workers(2)
-            .frontend_mode(FrontendMode::EventLoop)
-            .build()
-            .unwrap(),
+        ServiceConfig::builder().workers(2).build().unwrap(),
     ))
 }
 
@@ -80,14 +76,13 @@ fn show(tag: &str, outcome: &QueryOutcome) {
 
 fn main() {
     let service = build_service();
-    let listener = listen(&service, "127.0.0.1:0").unwrap();
+    let listener = EventLoopFrontend::new(&service, NetConfig::default())
+        .listen("127.0.0.1:0")
+        .unwrap();
     let addr = listener.local_addr();
     println!(
         "event-loop frontend on {addr} ({} loop threads)\n",
-        match &listener {
-            dprovdb::net::ServiceListener::EventLoop(l) => l.loop_threads(),
-            _ => unreachable!("service was built with FrontendMode::EventLoop"),
-        }
+        listener.loop_threads()
     );
 
     // Act 1: one shared socket, two independent sessions on mux channels.

@@ -5,7 +5,8 @@
 //!
 //! 1. **Transport invisibility** — three concurrent analysts run fixed
 //!    query scripts twice, once over the in-process channel transport and
-//!    once over TCP against a fresh, identically-seeded service. The
+//!    once over TCP (the event-loop frontend) against a fresh,
+//!    identically-seeded service. The
 //!    answers must match **bit for bit**: same seed, same
 //!    session-registration order, same per-session submission order is
 //!    all that determines the noise.
@@ -32,6 +33,7 @@ use dprovdb::core::system::DProvDb;
 use dprovdb::engine::catalog::ViewCatalog;
 use dprovdb::engine::datagen::adult::adult_database;
 use dprovdb::engine::query::Query;
+use dprovdb::net::{EventLoopFrontend, NetConfig};
 use dprovdb::server::{DurabilityConfig, Frontend, QueryService, ServiceConfig};
 
 const ANALYSTS: usize = 3;
@@ -122,7 +124,7 @@ fn main() {
         Arc::new(build_system()),
         ServiceConfig::builder().workers(4).build().unwrap(),
     ));
-    let frontend_tcp = Frontend::new(&service_tcp);
+    let frontend_tcp = EventLoopFrontend::new(&service_tcp, NetConfig::default());
     let listener = frontend_tcp.listen("127.0.0.1:0").unwrap();
     let addr = listener.local_addr();
     println!("  TCP frontend listening on {addr}");
@@ -162,7 +164,7 @@ fn main() {
         )
         .unwrap();
         let service = Arc::new(service);
-        let frontend = Frontend::new(&service);
+        let frontend = EventLoopFrontend::new(&service, NetConfig::default());
         let listener = frontend.listen("127.0.0.1:0").unwrap();
         let mut client = DProvClient::connect_tcp(listener.local_addr(), "durable").unwrap();
         let descriptor = client.register("analyst-1").unwrap();
@@ -207,7 +209,7 @@ fn main() {
         "  recovered: snapshot={}, replayed commits={}, restored sessions={}",
         report.snapshot_restored, report.replayed_commits, report.restored_sessions
     );
-    let frontend = Frontend::new(&service);
+    let frontend = EventLoopFrontend::new(&service, NetConfig::default());
     let listener = frontend.listen("127.0.0.1:0").unwrap();
     let mut client = DProvClient::connect_tcp(listener.local_addr(), "durable-back").unwrap();
     let descriptor = client.resume("analyst-1", session_id).unwrap();

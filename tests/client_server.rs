@@ -16,6 +16,7 @@ use dprovdb::core::system::DProvDb;
 use dprovdb::engine::catalog::ViewCatalog;
 use dprovdb::engine::datagen::adult::adult_database;
 use dprovdb::engine::query::Query;
+use dprovdb::net::{EventLoopFrontend, NetConfig};
 use dprovdb::server::{DurabilityConfig, Frontend, QueryService, ServiceConfig};
 
 const ANALYSTS: usize = 3;
@@ -105,7 +106,7 @@ fn tcp_loopback_answers_are_bit_identical_to_in_process() {
         Arc::new(build_system(23)),
         ServiceConfig::builder().workers(4).build().unwrap(),
     ));
-    let frontend = Frontend::new(&service);
+    let frontend = EventLoopFrontend::new(&service, NetConfig::default());
     let listener = frontend.listen("127.0.0.1:0").unwrap();
     let addr = listener.local_addr();
     let mut clients = Vec::new();
@@ -142,7 +143,7 @@ fn client_reconnects_across_a_durable_restart_with_budgets_intact() {
         )
         .unwrap();
         let service = Arc::new(service);
-        let frontend = Frontend::new(&service);
+        let frontend = EventLoopFrontend::new(&service, NetConfig::default());
         let listener = frontend.listen("127.0.0.1:0").unwrap();
         let mut client = DProvClient::connect_tcp(listener.local_addr(), "c1").unwrap();
         let descriptor = client.register("analyst-1").unwrap();
@@ -184,7 +185,7 @@ fn client_reconnects_across_a_durable_restart_with_budgets_intact() {
     .unwrap();
     assert_eq!(report.restored_sessions, 1);
     let service = Arc::new(service);
-    let frontend = Frontend::new(&service);
+    let frontend = EventLoopFrontend::new(&service, NetConfig::default());
     let listener = frontend.listen("127.0.0.1:0").unwrap();
     let mut client = DProvClient::connect_tcp(listener.local_addr(), "c1-back").unwrap();
 
@@ -274,7 +275,7 @@ fn pipelined_queries_and_control_traffic_share_one_tcp_connection() {
         Arc::new(build_system(9)),
         ServiceConfig::builder().workers(2).build().unwrap(),
     ));
-    let frontend = Frontend::new(&service);
+    let frontend = EventLoopFrontend::new(&service, NetConfig::default());
     let listener = frontend.listen("127.0.0.1:0").unwrap();
     let mut client = DProvClient::connect_tcp(listener.local_addr(), "pipeline").unwrap();
     client.register("analyst-2").unwrap();

@@ -9,10 +9,12 @@
 //!   charges, noise variances, cache flags, rejection reasons, and the
 //!   final provenance ledger — to submitting the per-group *oracle*
 //!   queries ([`GroupByQuery::scalar_queries`]) one by one on an
-//!   identically-seeded twin, for **both** mechanisms;
+//!   identically-seeded twin, for **both** mechanisms and **both**
+//!   submission modes (accuracy, and privacy with its once-per-request σ
+//!   calibration);
 //! * grouped answers do not depend on the executor's `scan_threads`;
 //! * the wire protocol (`DProvClient::group_by` over the in-process and
-//!   TCP transports) returns exactly what the service computed;
+//!   event-loop TCP transports) returns exactly what the service computed;
 //! * `DProvClient::declare_workload` returns exactly the library
 //!   [`Planner`]'s plan for the same database and cost inputs;
 //! * star-schema join-folding feeds grouped answering correctly: exact
@@ -26,7 +28,7 @@ use dprovdb::api::DProvClient;
 use dprovdb::core::analyst::{AnalystId, AnalystRegistry};
 use dprovdb::core::config::SystemConfig;
 use dprovdb::core::mechanism::MechanismKind;
-use dprovdb::core::processor::{GroupedRequest, QueryOutcome, QueryRequest};
+use dprovdb::core::processor::{GroupedRequest, QueryOutcome, QueryRequest, SubmissionMode};
 use dprovdb::core::system::DProvDb;
 use dprovdb::engine::catalog::ViewCatalog;
 use dprovdb::engine::database::Database;
@@ -34,6 +36,7 @@ use dprovdb::engine::datagen::adult::adult_database;
 use dprovdb::engine::group::GroupByQuery;
 use dprovdb::engine::schema::Schema;
 use dprovdb::engine::view::ViewDef;
+use dprovdb::net::{EventLoopFrontend, NetConfig};
 use dprovdb::plan::cost::CostModel;
 use dprovdb::plan::planner::Planner;
 use dprovdb::server::{Frontend, QueryService, ServiceConfig};
@@ -44,6 +47,7 @@ use dprovdb::workloads::star::{
 
 const ANALYSTS: usize = 2;
 const VARIANCE: f64 = 900.0;
+const ACCURACY: SubmissionMode = SubmissionMode::Accuracy { variance: VARIANCE };
 
 /// Adult system whose catalog can serve multi-attribute groupings: the
 /// per-attribute views plus a two-dimensional (sex, race) histogram.
@@ -118,14 +122,15 @@ fn service_over(system: &Arc<DProvDb>, scan_threads: usize) -> QueryService {
     )
 }
 
-/// Answers `gq` once as a grouped submission through the service and once
-/// as its per-group oracle queries on an identically-seeded twin, and
-/// asserts both the outcome streams and the provenance ledgers are
-/// bit-identical.
+/// Answers `gq` in `mode` once as a grouped submission through the
+/// service and once as its per-group oracle queries on an
+/// identically-seeded twin, and asserts both the outcome streams and the
+/// provenance ledgers are bit-identical.
 fn assert_grouped_matches_oracle(
     make: impl Fn() -> Arc<DProvDb>,
     gq: &GroupByQuery,
     extra_scalars: &[QueryRequest],
+    mode: SubmissionMode,
 ) {
     // Grouped path.
     let system = make();
@@ -134,9 +139,11 @@ fn assert_grouped_matches_oracle(
     for request in extra_scalars {
         service.submit_wait(session, request.clone()).unwrap();
     }
-    let grouped = service
-        .group_by_wait(session, GroupedRequest::with_accuracy(gq.clone(), VARIANCE))
-        .unwrap();
+    let request = GroupedRequest {
+        query: gq.clone(),
+        mode,
+    };
+    let grouped = service.group_by_wait(session, request).unwrap();
     let grouped_prov = system.provenance();
     service.shutdown();
 
@@ -157,9 +164,9 @@ fn assert_grouped_matches_oracle(
     );
     let oracle: Vec<QueryOutcome> = scalars
         .into_iter()
-        .map(|q| {
+        .map(|query| {
             service
-                .submit_wait(session, QueryRequest::with_accuracy(q, VARIANCE))
+                .submit_wait(session, QueryRequest { query, mode })
                 .unwrap()
         })
         .collect();
@@ -195,6 +202,7 @@ fn grouped_matches_oracle_vanilla() {
         || adult_system(MechanismKind::Vanilla, 77),
         &GroupByQuery::count("adult", &["sex", "race"]),
         &[],
+        ACCURACY,
     );
 }
 
@@ -204,6 +212,7 @@ fn grouped_matches_oracle_additive() {
         || adult_system(MechanismKind::AdditiveGaussian, 77),
         &GroupByQuery::count("adult", &["sex", "race"]),
         &[],
+        ACCURACY,
     );
 }
 
@@ -213,6 +222,7 @@ fn grouped_matches_oracle_single_attribute() {
         || adult_system(MechanismKind::AdditiveGaussian, 31),
         &GroupByQuery::count("adult", &["education_num"]),
         &[],
+        ACCURACY,
     );
 }
 
@@ -229,7 +239,23 @@ fn grouped_matches_oracle_mid_stream() {
         || adult_system(MechanismKind::Vanilla, 13),
         &GroupByQuery::count("adult", &["sex", "race"]),
         &warmup,
+        ACCURACY,
     );
+}
+
+#[test]
+fn grouped_matches_oracle_privacy_mode() {
+    // Privacy mode calibrates the per-bin σ once per grouped request; every
+    // cell must still match its per-group oracle, which calibrates per
+    // query, under both mechanisms.
+    for mechanism in [MechanismKind::Vanilla, MechanismKind::AdditiveGaussian] {
+        assert_grouped_matches_oracle(
+            || adult_system(mechanism, 61),
+            &GroupByQuery::count("adult", &["sex", "race"]),
+            &[],
+            SubmissionMode::Privacy { epsilon: 0.5 },
+        );
+    }
 }
 
 #[test]
@@ -238,6 +264,7 @@ fn grouped_matches_oracle_on_folded_star() {
         || star_system(MechanismKind::Vanilla, 41),
         &GroupByQuery::count(SALES_WIDE_TABLE, &["store.region", "item.category"]),
         &[],
+        ACCURACY,
     );
 }
 
@@ -288,7 +315,7 @@ fn grouped_over_the_wire_matches_in_process_service() {
         &adult_system(MechanismKind::AdditiveGaussian, 57),
         1,
     ));
-    let frontend = Frontend::new(&service);
+    let frontend = EventLoopFrontend::new(&service, NetConfig::default());
     let listener = frontend.listen("127.0.0.1:0").unwrap();
     let mut client = DProvClient::connect_tcp(listener.local_addr(), "tcp").unwrap();
     client.register("analyst-0").unwrap();
