@@ -6,6 +6,7 @@ use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion
 
 use dprov_core::synopsis_manager::SynopsisManager;
 use dprov_dp::budget::Delta;
+use dprov_dp::mechanism::analytic_gaussian_sigma;
 use dprov_dp::rng::DpRng;
 use dprov_engine::datagen::adult::adult_database;
 use dprov_engine::histogram::Histogram;
@@ -33,11 +34,13 @@ fn bench_synopsis_management(c: &mut Criterion) {
     let mut manager = SynopsisManager::new(Delta::new(1e-9).unwrap());
     manager.register_view(&db, &view).unwrap();
 
+    // The release noise alone: callers calibrate σ before they release.
+    let sigma = analytic_gaussian_sigma(1.0, 1e-9, std::f64::consts::SQRT_2).unwrap();
     group.bench_function("fresh_synopsis_74_bins", |b| {
         let mut rng = DpRng::seed_from_u64(1);
         b.iter(|| {
             manager
-                .fresh_synopsis("adult.age", black_box(1.0), &mut rng)
+                .fresh_synopsis("adult.age", black_box(sigma), &mut rng)
                 .unwrap()
         })
     });

@@ -59,7 +59,12 @@ impl SPrivateSqlBaseline {
         let mut synopses = HashMap::new();
         for view in catalog.views() {
             manager.register_view(&db, view)?;
-            let synopsis = manager.fresh_synopsis(&view.name, per_view_epsilon, &mut rng)?;
+            let sigma = analytic_gaussian_sigma(
+                per_view_epsilon,
+                config.delta.value(),
+                view.sensitivity().value(),
+            )?;
+            let synopsis = manager.fresh_synopsis(&view.name, sigma, &mut rng)?;
             synopses.insert(view.name.clone(), synopsis);
         }
 

@@ -419,14 +419,15 @@ impl SynopsisManager {
         Ok(())
     }
 
-    /// Generates a *fresh, independent* synopsis of the view at the given
-    /// budget — the vanilla mechanism's release, also used for the static
-    /// sPrivateSQL synopses. Reads the exact histogram under the shard's
-    /// read guard, so it observes a whole number of sealed epochs.
-    pub fn fresh_synopsis(&self, view: &str, epsilon: f64, rng: &mut DpRng) -> Result<Synopsis> {
+    /// Generates a *fresh, independent* synopsis of the view with Gaussian
+    /// noise of scale `sigma` per bin — the vanilla mechanism's release,
+    /// also used for the static sPrivateSQL synopses. The caller has
+    /// calibrated `sigma` for the budget it charges (the translation or
+    /// the privacy-mode resolution already did), so nothing is solved
+    /// again here. Reads the exact histogram under the shard's read guard,
+    /// so it observes a whole number of sealed epochs.
+    pub fn fresh_synopsis(&self, view: &str, sigma: f64, rng: &mut DpRng) -> Result<Synopsis> {
         let shard = self.shard(view)?;
-        let sigma =
-            analytic_gaussian_sigma(epsilon, self.delta.value(), shard.def.sensitivity().value())?;
         let state = shard.state.read().expect("shard poisoned");
         let counts: Vec<f64> = state
             .exact
@@ -708,9 +709,9 @@ mod tests {
     #[test]
     fn fresh_synopsis_has_the_calibrated_variance() {
         let (mgr, mut rng) = setup();
-        let s = mgr.fresh_synopsis("adult.age", 1.0, &mut rng).unwrap();
         let sigma = analytic_gaussian_sigma(1.0, 1e-9, std::f64::consts::SQRT_2).unwrap();
-        assert!((s.per_bin_variance - sigma * sigma).abs() < 1e-9);
+        let s = mgr.fresh_synopsis("adult.age", sigma, &mut rng).unwrap();
+        assert_eq!(s.per_bin_variance, sigma * sigma);
         assert_eq!(s.counts.len(), 74);
     }
 

@@ -47,7 +47,7 @@ use dprov_dp::accountant::{make_accountant, Accountant};
 use dprov_dp::budget::{Budget, Epsilon};
 use dprov_dp::mechanism::analytic_gaussian::analytic_gaussian_sigma;
 use dprov_dp::rng::DpRng;
-use dprov_dp::translation::{translate_variance_to_epsilon, FrictionAwareTranslation};
+use dprov_dp::translation::{translate_variance_to_epsilon, FrictionAwareTranslation, Translation};
 use dprov_dp::DpError;
 use dprov_engine::catalog::ViewCatalog;
 use dprov_engine::database::Database;
@@ -203,8 +203,16 @@ struct ResolvedRequest {
     linear: LinearQuery,
     /// The per-bin variance the answer's synopsis must reach.
     per_bin_target: f64,
-    /// The explicit epsilon of a privacy-oriented request, if any.
-    requested_epsilon: Option<f64>,
+    /// The explicit epsilon of a privacy-oriented request and its σ, if any.
+    requested: Option<Calibration>,
+}
+
+/// A privacy-mode request's ε and the σ calibrated for it against the
+/// selected view, solved once at resolution and reused by the release.
+#[derive(Clone, Copy)]
+struct Calibration {
+    epsilon: f64,
+    sigma: f64,
 }
 
 /// The request-level half of a resolution: what the submission mode asks
@@ -216,8 +224,25 @@ enum ModeTarget {
     /// Accuracy mode: the validated answer variance, divided per cell by
     /// the cell's squared coefficient norm.
     Variance(f64),
-    /// Privacy mode: the per-bin variance σ² calibrated for `epsilon`.
-    Calibrated { sigma_sq: f64, epsilon: f64 },
+    /// Privacy mode: the requested ε and the σ calibrated for it; the
+    /// per-bin target is σ².
+    Calibrated(Calibration),
+}
+
+/// Sorts a failed translation or calibration into a rejection or a fault.
+/// A target the budget cannot reach, an invalid variance (including the
+/// infinite target of a query touching no cell) and an invalid ε are the
+/// request's problem and reject it as [`RejectReason::AccuracyUnreachable`];
+/// anything else, such as a numerical routine that did not converge or a
+/// δ or sensitivity the configuration should never produce, is a fault
+/// and propagates as [`CoreError::Dp`] instead of posing as a rejection.
+fn dp_rejection(err: DpError) -> Result<RejectReason> {
+    match err {
+        DpError::TranslationOutOfRange { .. }
+        | DpError::InvalidVariance(_)
+        | DpError::InvalidEpsilon(_) => Ok(RejectReason::AccuracyUnreachable),
+        fault => Err(CoreError::Dp(fault)),
+    }
 }
 
 impl ResolvedRequest {
@@ -231,12 +256,12 @@ impl ResolvedRequest {
         target: &std::result::Result<ModeTarget, RejectReason>,
     ) -> std::result::Result<Self, RejectReason> {
         let coeff_sq = linear.answer_variance(1.0);
-        let (per_bin_target, requested_epsilon) = if coeff_sq <= 0.0 {
+        let (per_bin_target, requested) = if coeff_sq <= 0.0 {
             (f64::INFINITY, None)
         } else {
             match target {
                 Ok(ModeTarget::Variance(variance)) => (variance / coeff_sq, None),
-                Ok(ModeTarget::Calibrated { sigma_sq, epsilon }) => (*sigma_sq, Some(*epsilon)),
+                Ok(ModeTarget::Calibrated(c)) => (c.sigma * c.sigma, Some(*c)),
                 Err(reason) => return Err(reason.clone()),
             }
         };
@@ -244,7 +269,7 @@ impl ResolvedRequest {
             view,
             linear,
             per_bin_target,
-            requested_epsilon,
+            requested,
         })
     }
 }
@@ -700,22 +725,22 @@ impl DProvDb {
     }
 
     /// Resolves a request: selects the view, transforms the query, and
-    /// derives the per-bin accuracy target. Returns `Err(reason)` for
-    /// rejections that should not abort the run.
+    /// derives the per-bin accuracy target. Returns `Ok(Err(reason))` for
+    /// rejections that should not abort the run and `Err` for faults.
     fn resolve(
         &self,
         request: &QueryRequest,
-    ) -> std::result::Result<ResolvedRequest, RejectReason> {
+    ) -> Result<std::result::Result<ResolvedRequest, RejectReason>> {
         let (view, linear) = {
             let db = self.db.read().expect("db lock poisoned");
             match self.catalog.select_view(&request.query, &db) {
                 Ok(pair) => pair,
-                Err(EngineError::NotAnswerable(_)) => return Err(RejectReason::NotAnswerable),
-                Err(_) => return Err(RejectReason::NotAnswerable),
+                Err(EngineError::NotAnswerable(_)) => return Ok(Err(RejectReason::NotAnswerable)),
+                Err(_) => return Ok(Err(RejectReason::NotAnswerable)),
             }
         };
-        let target = self.mode_target(request.mode, &view);
-        ResolvedRequest::new(view, linear, &target)
+        let target = self.mode_target(request.mode, &view)?;
+        Ok(ResolvedRequest::new(view, linear, &target))
     }
 
     /// Validates an accuracy-mode request, or calibrates a privacy-mode
@@ -724,23 +749,21 @@ impl DProvDb {
         &self,
         mode: SubmissionMode,
         view: &ViewDef,
-    ) -> std::result::Result<ModeTarget, RejectReason> {
-        match mode {
+    ) -> Result<std::result::Result<ModeTarget, RejectReason>> {
+        Ok(match mode {
             SubmissionMode::Accuracy { variance } if variance.is_finite() && variance > 0.0 => {
                 Ok(ModeTarget::Variance(variance))
             }
             SubmissionMode::Accuracy { .. } => Err(RejectReason::AccuracyUnreachable),
-            SubmissionMode::Privacy { epsilon } => analytic_gaussian_sigma(
+            SubmissionMode::Privacy { epsilon } => match analytic_gaussian_sigma(
                 epsilon,
                 self.config.delta.value(),
                 view.sensitivity().value(),
-            )
-            .map(|sigma| ModeTarget::Calibrated {
-                sigma_sq: sigma * sigma,
-                epsilon,
-            })
-            .map_err(|_| RejectReason::AccuracyUnreachable),
-        }
+            ) {
+                Ok(sigma) => Ok(ModeTarget::Calibrated(Calibration { epsilon, sigma })),
+                Err(e) => Err(dp_rejection(e)?),
+            },
+        })
     }
 
     /// Answers from an existing (analyst, view) synopsis if it is accurate
@@ -770,13 +793,14 @@ impl DProvDb {
             .flatten()
     }
 
-    /// Translates a per-bin variance target into the minimal epsilon, using
-    /// the table constraint as the search range (Definition 9).
+    /// Translates a per-bin variance target into the minimal epsilon and
+    /// its release σ, using the table constraint as the search range
+    /// (Definition 9).
     fn translate_vanilla(
         &self,
         per_bin_target: f64,
         sensitivity: dprov_dp::sensitivity::Sensitivity,
-    ) -> std::result::Result<f64, RejectReason> {
+    ) -> Result<std::result::Result<Translation, RejectReason>> {
         match translate_variance_to_epsilon(
             per_bin_target,
             self.config.delta,
@@ -784,9 +808,8 @@ impl DProvDb {
             self.config.total_epsilon,
             self.config.translation_precision,
         ) {
-            Ok(t) => Ok(t.epsilon.value()),
-            Err(DpError::TranslationOutOfRange { .. }) => Err(RejectReason::AccuracyUnreachable),
-            Err(_) => Err(RejectReason::AccuracyUnreachable),
+            Ok(t) => Ok(Ok(t)),
+            Err(e) => Ok(Err(dp_rejection(e)?)),
         }
     }
 
@@ -868,7 +891,7 @@ impl DProvDb {
         request: &QueryRequest,
         rng: &mut DpRng,
     ) -> Result<QueryOutcome> {
-        let resolved = match self.resolve(request) {
+        let resolved = match self.resolve(request)? {
             Ok(r) => r,
             Err(reason) => return Ok(QueryOutcome::Rejected { reason }),
         };
@@ -895,11 +918,13 @@ impl DProvDb {
             return Ok(QueryOutcome::Answered(answer));
         }
 
+        // The σ calibrated while pricing (privacy-mode resolution or the
+        // translation) is the release σ: a miss solves for σ once.
         let sensitivity = resolved.view.sensitivity();
-        let epsilon = match resolved.requested_epsilon {
-            Some(e) => e,
-            None => match self.translate_vanilla(resolved.per_bin_target, sensitivity) {
-                Ok(e) => e,
+        let (epsilon, sigma) = match resolved.requested {
+            Some(c) => (c.epsilon, c.sigma),
+            None => match self.translate_vanilla(resolved.per_bin_target, sensitivity)? {
+                Ok(t) => (t.epsilon.value(), t.sigma),
                 Err(reason) => return Ok(QueryOutcome::Rejected { reason }),
             },
         };
@@ -936,7 +961,7 @@ impl DProvDb {
         // generation happens outside the provenance lock.
         let synopsis = match self
             .synopses
-            .fresh_synopsis(&resolved.view.name, epsilon, rng)
+            .fresh_synopsis(&resolved.view.name, sigma, rng)
         {
             Ok(s) => s,
             Err(e) => {
@@ -953,12 +978,7 @@ impl DProvDb {
         };
         let answer = synopsis.answer(&resolved.linear);
         let noise_variance = synopsis.answer_variance(&resolved.linear);
-        self.record_tight(
-            seq,
-            epsilon,
-            synopsis.per_bin_variance.sqrt(),
-            sensitivity.value(),
-        );
+        self.record_tight(seq, epsilon, sigma, sensitivity.value());
         let release_epoch = self.synopses.current_epoch();
         self.synopses.store_local(
             analyst.0,
@@ -992,7 +1012,7 @@ impl DProvDb {
         request: &QueryRequest,
         rng: &mut DpRng,
     ) -> Result<QueryOutcome> {
-        let resolved = match self.resolve(request) {
+        let resolved = match self.resolve(request)? {
             Ok(r) => r,
             Err(reason) => return Ok(QueryOutcome::Rejected { reason }),
         };
@@ -1028,16 +1048,16 @@ impl DProvDb {
 
         // Translation (Algorithm 4, privacyTranslate): figure out the
         // global target budget and the analyst's local budget.
-        let (global_target, local_epsilon) = match resolved.requested_epsilon {
-            Some(eps_req) => {
+        let (global_target, local_epsilon) = match resolved.requested {
+            Some(requested) => {
                 // Privacy-oriented mode follows Algorithm 4 literally.
-                let global_target = current_global_eps.unwrap_or(0.0).max(eps_req);
-                (global_target, eps_req)
+                let global_target = current_global_eps.unwrap_or(0.0).max(requested.epsilon);
+                (global_target, requested.epsilon)
             }
             None => {
                 let local_nominal =
-                    match self.translate_vanilla(resolved.per_bin_target, sensitivity) {
-                        Ok(e) => e,
+                    match self.translate_vanilla(resolved.per_bin_target, sensitivity)? {
+                        Ok(t) => t.epsilon.value(),
                         Err(reason) => return Ok(QueryOutcome::Rejected { reason }),
                     };
                 let global_target = match (current_global_eps, current_global_var) {
@@ -1055,9 +1075,9 @@ impl DProvDb {
                             self.config.total_epsilon,
                         ) {
                             Ok(t) => eps_g + t.epsilon.value(),
-                            Err(_) => {
+                            Err(e) => {
                                 return Ok(QueryOutcome::Rejected {
-                                    reason: RejectReason::AccuracyUnreachable,
+                                    reason: dp_rejection(e)?,
                                 })
                             }
                         }
@@ -1322,7 +1342,7 @@ impl DProvDb {
         // The per-request tail of `resolve`, with the mode target (the
         // accuracy-mode validity or the privacy-mode σ) computed once for
         // every cell: it depends only on the request and the view.
-        let target = self.mode_target(request.mode, &view);
+        let target = self.mode_target(request.mode, &view)?;
         let cells = coefficients
             .into_iter()
             .map(|coefficients| {
@@ -1870,6 +1890,40 @@ mod tests {
             additive.cumulative_epsilon(),
             vanilla.cumulative_epsilon()
         );
+    }
+
+    /// One case per `DpError` variant: request-side errors reject, every
+    /// other error is a fault that propagates.
+    #[test]
+    fn dp_rejection_rejects_request_errors() {
+        let rejected = [
+            DpError::TranslationOutOfRange {
+                requested_variance: 1e-6,
+                max_epsilon: 0.1,
+            },
+            DpError::InvalidVariance(f64::INFINITY),
+            DpError::InvalidEpsilon(0.0),
+        ];
+        for err in rejected {
+            assert_eq!(dp_rejection(err), Ok(RejectReason::AccuracyUnreachable));
+        }
+    }
+
+    #[test]
+    fn dp_rejection_propagates_no_convergence() {
+        let err = DpError::NoConvergence("analytic_gaussian_sigma bracket");
+        assert_eq!(dp_rejection(err.clone()), Err(CoreError::Dp(err)));
+    }
+
+    #[test]
+    fn dp_rejection_propagates_configuration_errors() {
+        for err in [
+            DpError::InvalidDelta(2.0),
+            DpError::InvalidSensitivity(-1.0),
+            DpError::EmptyBudgetSet,
+        ] {
+            assert_eq!(dp_rejection(err.clone()), Err(CoreError::Dp(err)));
+        }
     }
 
     #[test]

@@ -7,10 +7,19 @@
 //! Phi(Δ/(2σ) − εσ/Δ) − e^ε · Phi(−Δ/(2σ) − εσ/Δ) ≤ δ
 //! ```
 //!
-//! The left-hand side (the *privacy profile*) is monotone decreasing in σ,
-//! so the tightest calibration is the smallest σ for which the profile drops
-//! below δ — found here by expanding an upper bracket and bisecting. This is
-//! exactly the calibration the original DProvDB re-implemented in Scala.
+//! The left-hand side, the *privacy profile* ([`analytic_gaussian_delta`]),
+//! decreases in σ at fixed ε and in ε at fixed σ. Each evaluation costs two
+//! `erfc` calls (fixed-cost rational fits, see [`mod@crate::math::erf`]) and one
+//! `exp`.
+//!
+//! * [`analytic_gaussian_sigma`] calibrates: the smallest σ for which the
+//!   profile drops below δ, found by expanding an upper bracket and
+//!   bisecting to 1e-12 relative tolerance (about 40 profile evaluations).
+//!   This is the calibration the original DProvDB re-implemented in Scala.
+//! * The accuracy→ε translation searches the other way, ε at a fixed σ,
+//!   on the same profile (see [`crate::translation`]), and calls the
+//!   calibration once, at the ε it returns. A vanilla release reuses that
+//!   σ, so the calibration runs at most once per vanilla release.
 
 use serde::{Deserialize, Serialize};
 
@@ -149,6 +158,44 @@ mod tests {
             let d = analytic_gaussian_delta(sigma, 1.0, 0.5);
             assert!(d <= prev + 1e-15, "profile not monotone at sigma={sigma}");
             prev = d;
+        }
+    }
+
+    /// The ε search and the σ bisection both rely on the profile being
+    /// monotone: non-increasing in σ at fixed ε and in ε at fixed σ. Pinned
+    /// on dense grids over the σ, Δ and ε ranges the system uses. Where
+    /// both profile terms are near the bottom of the double range their
+    /// difference is pure rounding and wiggles (the largest such value on
+    /// these grids is about 3e-263); anything below 1e-100 is 87 orders of
+    /// magnitude under the smallest δ in use, so it cannot flip a search.
+    #[test]
+    fn profile_is_monotone_in_sigma_and_epsilon() {
+        const FLOOR: f64 = 1e-100;
+        for &sens in &[1.0, std::f64::consts::SQRT_2, 2.0, 8.0] {
+            for &eps in &[1e-6, 0.01, 0.3, 1.0, 6.4, 25.6, 50.0] {
+                let mut prev = f64::INFINITY;
+                for i in 0..4000 {
+                    let sigma = 0.05 * 1.003f64.powi(i);
+                    let d = analytic_gaussian_delta(sigma, sens, eps);
+                    assert!(
+                        d <= prev || d < FLOOR,
+                        "not monotone in sigma: {sigma}, {sens}, {eps}"
+                    );
+                    prev = d;
+                }
+            }
+            for &sigma in &[0.5, 0.707, 1.0, 3.0, 10.0, 100.0, 1000.0] {
+                let mut prev = f64::INFINITY;
+                for i in 0..4000 {
+                    let eps = 1e-6 * 1.005f64.powi(i);
+                    let d = analytic_gaussian_delta(sigma, sens, eps);
+                    assert!(
+                        d <= prev || d < FLOOR,
+                        "not monotone in eps: {sigma}, {sens}, {eps}"
+                    );
+                    prev = d;
+                }
+            }
         }
     }
 

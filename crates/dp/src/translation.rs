@@ -6,8 +6,8 @@
 //! achieves it under the analytic Gaussian mechanism:
 //!
 //! * [`translate_variance_to_epsilon`] — the vanilla translation
-//!   (Definition 9): binary-search the smallest ε whose calibrated variance
-//!   is below the target.
+//!   (Definition 9, Proposition 5.1): the smallest ε, to precision `p`,
+//!   whose calibrated variance is at most the target.
 //! * [`FrictionAwareTranslation`] — the additive-Gaussian translation
 //!   (Algorithm 4, lines 12–16): when a global synopsis with error `v'`
 //!   already exists and the analyst asks for error `v_i < v'`, a fresh delta
@@ -16,12 +16,40 @@
 //!   `v_t(w) = (v_i − w²·v′) / (1 − w)²` over the combination weight
 //!   `w ∈ [0, 1)` before translating `v_t` into an epsilon, so the least
 //!   possible additional budget is spent.
+//!
+//! # The direct search
+//!
+//! Definition 9 binary-searches ε on the predicate "the σ calibrated for
+//! (ε, δ) has σ² ≤ target". Read literally that nests a second search:
+//! every ε step would bisect σ on the privacy profile
+//! ([`analytic_gaussian_delta`]). The profile decreases in σ, so with
+//! `σ_t = √target` (one ulp lower if rounding put `σ_t²` above the target)
+//! the σ calibrated for ε is at most `σ_t` exactly when the profile *at*
+//! `σ_t` is already at most δ. The search therefore fixes `σ = σ_t` and
+//! runs the same [`monotone_binary_search`] (same `lo`, `hi` = ψ_P and
+//! precision) on `analytic_gaussian_delta(σ_t, Δ, ε) ≤ δ` — one profile
+//! evaluation per step instead of a σ bisection per step. The two
+//! predicates can differ only when `σ_t` lies within the calibration's
+//! 1e-12 relative tolerance of the exact threshold at one of the search's
+//! midpoints; the direct search then takes the smaller ε, which is still
+//! exactly (ε, δ)-DP at `σ_t`.
+//! Root `tests/properties.rs` checks bitwise equality with the nested
+//! search over a grid of targets, δ, sensitivities and precisions.
+//!
+//! # The release σ
+//!
+//! σ is calibrated once, at the returned ε, and the release uses
+//! `σ = min(analytic_gaussian_sigma(ε), σ_t)` ([`Translation::sigma`]).
+//! Both candidates satisfy the profile at ε (the calibration by
+//! construction, `σ_t` because the search's predicate held there), so the
+//! release is (ε, δ)-DP, and `σ ≤ σ_t` gives `σ² ≤ target` with no slack.
+//! Callers hand this σ to the release instead of calibrating again.
 
 use serde::{Deserialize, Serialize};
 
 use crate::budget::{Budget, Delta, Epsilon};
 use crate::math::optimize::{golden_section_maximize, monotone_binary_search};
-use crate::mechanism::analytic_gaussian::analytic_gaussian_sigma;
+use crate::mechanism::analytic_gaussian::{analytic_gaussian_delta, analytic_gaussian_sigma};
 use crate::sensitivity::Sensitivity;
 use crate::{DpError, Result};
 
@@ -36,8 +64,13 @@ pub struct Translation {
     pub epsilon: Epsilon,
     /// The delta the translation was performed at.
     pub delta: Delta,
-    /// The per-bin noise variance the calibrated mechanism will actually
-    /// achieve (always `<=` the requested bound).
+    /// The noise scale the release must use: the smaller of the σ
+    /// calibrated for `(epsilon, delta)` and `√target_variance` (rounded so
+    /// its square stays within the target), so the release is (ε, δ)-DP
+    /// and meets the target exactly.
+    pub sigma: f64,
+    /// The per-bin noise variance the release achieves, `sigma²`
+    /// (always `<=` `target_variance`).
     pub achieved_variance: f64,
     /// The per-bin variance bound the search used (after friction
     /// adjustment, if any).
@@ -49,7 +82,8 @@ pub struct Translation {
 
 /// Definition 9: the minimal epsilon (up to precision `precision`) such that
 /// the analytic Gaussian mechanism at `(epsilon, delta)` with the given
-/// sensitivity has per-coordinate variance at most `target_variance`.
+/// sensitivity has per-coordinate variance at most `target_variance`, found
+/// by the direct search of the module docs.
 ///
 /// `max_epsilon` bounds the search (the paper uses the table constraint
 /// `psi_P`); if even `max_epsilon` cannot reach the accuracy target the
@@ -65,41 +99,39 @@ pub fn translate_variance_to_epsilon(
         return Err(DpError::InvalidVariance(target_variance));
     }
     let max_eps = max_epsilon.value();
+    let out_of_range = DpError::TranslationOutOfRange {
+        requested_variance: target_variance,
+        max_epsilon: max_eps,
+    };
     if max_eps <= 0.0 {
-        return Err(DpError::TranslationOutOfRange {
-            requested_variance: target_variance,
-            max_epsilon: max_eps,
-        });
+        return Err(out_of_range);
     }
     let d = delta.value();
     let sens = sensitivity.value();
 
-    let variance_at = |eps: f64| -> f64 {
-        match analytic_gaussian_sigma(eps, d, sens) {
-            Ok(sigma) => sigma * sigma,
-            Err(_) => f64::INFINITY,
-        }
-    };
+    // √target, one ulp lower if rounding put its square above the target.
+    let mut sigma_target = target_variance.sqrt();
+    if sigma_target * sigma_target > target_variance {
+        sigma_target = sigma_target.next_down();
+    }
 
-    // The variance is monotone decreasing in epsilon, so "variance <= target"
-    // is a monotone predicate.
+    // The profile at fixed σ decreases in ε, so this is a monotone
+    // predicate; it holds at ε iff the σ calibrated for ε is <= σ_t.
     let lo = (precision / 100.0).min(1e-6);
     let eps = monotone_binary_search(
-        |eps| variance_at(eps) <= target_variance,
+        |eps| analytic_gaussian_delta(sigma_target, sens, eps) <= d,
         lo,
         max_eps,
         precision,
     )
-    .ok_or(DpError::TranslationOutOfRange {
-        requested_variance: target_variance,
-        max_epsilon: max_eps,
-    })?;
+    .ok_or(out_of_range)?;
 
-    let achieved = variance_at(eps);
+    let sigma = analytic_gaussian_sigma(eps, d, sens)?.min(sigma_target);
     Ok(Translation {
         epsilon: Epsilon::new(eps)?,
         delta,
-        achieved_variance: achieved,
+        sigma,
+        achieved_variance: sigma * sigma,
         target_variance,
         combination_weight: 0.0,
     })
@@ -157,13 +189,12 @@ impl FrictionAwareTranslation {
             // First release for the view: no friction, vanilla translation.
             None => (target_variance, 0.0),
             Some(v_prime) if v_prime <= target_variance => {
-                // The existing synopsis is already accurate enough; the
-                // caller should answer from it (signalled by weight = 1 and
-                // an infinite fresh variance is meaningless, so we keep the
-                // vanilla path but the system layer short-circuits before
-                // calling translate in that case). Degrade to vanilla:
-                // w = 0, as the optimisation's solution is w = 0 when
-                // v_i > v' per the paper.
+                // The existing synopsis already meets the request, so the
+                // system layer answers from it (w = 1, no fresh budget)
+                // and never translates here. Called anyway, v_t(w) grows
+                // without bound as w → 1, so there is no finite optimum;
+                // fall back to the vanilla translation (w = 0), which is
+                // safe but not minimal.
                 (target_variance, 0.0)
             }
             Some(v_prime) => {
@@ -197,7 +228,6 @@ impl FrictionAwareTranslation {
             self.precision,
         )?;
         t.combination_weight = weight;
-        t.target_variance = fresh_variance;
         Ok(t)
     }
 }
@@ -222,7 +252,6 @@ pub fn translate_to_budget(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mechanism::analytic_gaussian_sigma;
 
     fn delta() -> Delta {
         Delta::new(1e-9).unwrap()
@@ -240,10 +269,13 @@ mod tests {
             )
             .unwrap();
             assert!(
-                t.achieved_variance <= target * (1.0 + 1e-9),
+                t.achieved_variance <= target,
                 "target {target}: achieved {}",
                 t.achieved_variance
             );
+            assert_eq!(t.achieved_variance, t.sigma * t.sigma);
+            let profile = analytic_gaussian_delta(t.sigma, 1.0, t.epsilon.value());
+            assert!(profile <= 1e-9, "release sigma not (eps, delta)-DP");
         }
     }
 

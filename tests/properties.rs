@@ -7,17 +7,106 @@ use dprovdb::engine::datagen::adult::adult_database;
 use dprovdb::engine::synopsis::Synopsis;
 use dprovdb::engine::view::ViewDef;
 
+use dprovdb::core::analyst::{AnalystId, AnalystRegistry};
+use dprovdb::core::config::{AnalystConstraintSpec, SystemConfig};
+use dprovdb::core::mechanism::MechanismKind;
+use dprovdb::core::processor::{QueryOutcome, SubmissionMode};
+use dprovdb::core::system::DProvDb;
 use dprovdb::dp::budget::{Budget, Delta, Epsilon};
+use dprovdb::dp::math::monotone_binary_search;
 use dprovdb::dp::mechanism::{
     additive_gaussian_release, analytic_gaussian_delta, analytic_gaussian_sigma,
 };
 use dprovdb::dp::rng::DpRng;
 use dprovdb::dp::sensitivity::Sensitivity;
 use dprovdb::dp::translation::{translate_variance_to_epsilon, FrictionAwareTranslation};
+use dprovdb::dp::DpError;
+use dprovdb::engine::catalog::ViewCatalog;
 use dprovdb::engine::schema::{Attribute, AttributeType, Schema};
 use dprovdb::engine::table::Table;
 use dprovdb::engine::value::Value;
 use dprovdb::engine::view::{flat_index, MultiIndexIter};
+
+/// Definition 9 read literally, the reference for the direct search: the
+/// same monotone search on ε, with the predicate "the σ calibrated for ε
+/// has σ² <= target", so every step runs a σ bisection.
+fn nested_translation_epsilon(
+    target: f64,
+    delta: f64,
+    sens: f64,
+    max_eps: f64,
+    precision: f64,
+) -> Option<f64> {
+    let lo = (precision / 100.0).min(1e-6);
+    monotone_binary_search(
+        |eps| analytic_gaussian_sigma(eps, delta, sens).is_ok_and(|s| s * s <= target),
+        lo,
+        max_eps,
+        precision,
+    )
+}
+
+const SENSITIVITIES: [f64; 4] = [1.0, std::f64::consts::SQRT_2, 2.0, 8.0];
+const PRECISIONS: [f64; 3] = [1e-4, 1e-5, 1e-6];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// The direct ε search (σ fixed at √target, profile evaluated once per
+    /// step) returns the nested search's ε bit for bit, and its release σ
+    /// is both (ε, δ)-DP and within the target with no slack — for the
+    /// vanilla and the friction-aware translation alike.
+    #[test]
+    fn direct_translation_equals_the_nested_search_and_is_safe(
+        log_target in (0.5f64).log10()..6.0,
+        delta_exp in 5.0f64..13.0,
+        sens_idx in 0usize..4,
+        precision_idx in 0usize..3,
+        existing_factor in 1.05f64..20.0,
+    ) {
+        let target = 10f64.powf(log_target);
+        let delta = 10f64.powf(-delta_exp);
+        let sens = SENSITIVITIES[sens_idx];
+        let precision = PRECISIONS[precision_idx];
+        let max_eps = 50.0;
+        let d = Delta::new(delta).unwrap();
+        let s = Sensitivity::new(sens).unwrap();
+        let direct = translate_variance_to_epsilon(
+            target, d, s, Epsilon::new(max_eps).unwrap(), precision,
+        );
+        let nested = nested_translation_epsilon(target, delta, sens, max_eps, precision);
+        match (&direct, nested) {
+            (Ok(t), Some(nested)) => {
+                prop_assert_eq!(t.epsilon.value().to_bits(), nested.to_bits());
+                prop_assert!(t.achieved_variance <= target);
+                prop_assert!(analytic_gaussian_delta(t.sigma, sens, t.epsilon.value()) <= delta);
+            }
+            // Out of reach within ψ_P for both searches alike.
+            (Err(DpError::TranslationOutOfRange { .. }), None) => {}
+            _ => prop_assert!(false, "direct {:?} but nested {:?}", direct, nested),
+        }
+
+        let translator = FrictionAwareTranslation { delta: d, sensitivity: s, precision };
+        match translator.translate(
+            target,
+            Some(target * existing_factor),
+            Epsilon::new(max_eps).unwrap(),
+        ) {
+            Ok(friction) => {
+                prop_assert!(friction.achieved_variance <= friction.target_variance);
+                prop_assert!(
+                    analytic_gaussian_delta(friction.sigma, sens, friction.epsilon.value())
+                        <= delta
+                );
+            }
+            Err(e) => prop_assert!(
+                matches!(e, DpError::TranslationOutOfRange { .. }),
+                "friction-aware translation failed: {:?}",
+                e
+            ),
+        }
+    }
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -236,5 +325,66 @@ proptest! {
         let (eps, var) = mgr.global_state("adult.age").unwrap().unwrap();
         prop_assert_eq!(eps, prev_eps);
         prop_assert_eq!(var, prev_var);
+    }
+}
+
+/// Every accuracy-mode answer that spent budget (a cache miss) carries at
+/// most the variance the analyst asked for, under both mechanisms, across
+/// an RRQ stream that mixes first releases, friction-aware growth and
+/// rejections.
+#[test]
+fn accuracy_mode_misses_meet_the_requested_variance() {
+    let db = adult_database(2_000, 3);
+    let workload = dprovdb::workloads::rrq::generate(
+        &db,
+        &dprovdb::workloads::rrq::RrqConfig::new("adult", 60, 4),
+        3,
+    )
+    .unwrap();
+    for mechanism in [MechanismKind::Vanilla, MechanismKind::AdditiveGaussian] {
+        let mut registry = AnalystRegistry::new();
+        for level in 1..=3 {
+            registry.register(&format!("a{level}"), level).unwrap();
+        }
+        let spec = match mechanism {
+            MechanismKind::AdditiveGaussian => AnalystConstraintSpec::MaxNormalized {
+                system_max_level: None,
+            },
+            MechanismKind::Vanilla => AnalystConstraintSpec::ProportionalSum,
+        };
+        let mut system = DProvDb::new(
+            db.clone(),
+            ViewCatalog::one_per_attribute(&db, "adult").unwrap(),
+            registry,
+            SystemConfig::new(6.4)
+                .unwrap()
+                .with_seed(5)
+                .with_analyst_constraints(spec),
+            mechanism,
+        )
+        .unwrap();
+        let mut misses = 0;
+        for round in 0..60 {
+            for (analyst, requests) in workload.per_analyst.iter().enumerate() {
+                let Some(request) = requests.get(round) else {
+                    continue;
+                };
+                let SubmissionMode::Accuracy { variance } = request.mode else {
+                    panic!("RRQ requests are accuracy-oriented");
+                };
+                let outcome = system.submit(AnalystId(analyst), request).unwrap();
+                if let QueryOutcome::Answered(answer) = outcome {
+                    if !answer.from_cache {
+                        misses += 1;
+                        assert!(
+                            answer.noise_variance <= variance,
+                            "{mechanism:?}: variance {} above the requested {variance}",
+                            answer.noise_variance
+                        );
+                    }
+                }
+            }
+        }
+        assert!(misses >= 20, "{mechanism:?}: only {misses} misses");
     }
 }
